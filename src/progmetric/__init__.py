@@ -19,7 +19,6 @@ from .losses import (
     cross_entropy_loss,
     gbh_loss,
     gbh_terms,
-    lmnn_loss,
     pairwise_distances,
 )
 from .sampler import BatchSpec, PKSampler, pk_sample
@@ -46,7 +45,6 @@ __all__ = [
     "SynthSpec", "batch_hard_loss", "composite_loss", "composite_loss_grad",
     "cross_entropy_loss", "drop_rate_objective", "estimate_bandwidth",
     "evaluate", "expected_improvement", "fit_gp", "forward", "gbh_loss",
-    "gbh_terms", "generate", "kernel", "lmnn_loss", "lr_schedule",
-    "pairwise_distances", "pca_reduce", "pk_sample", "propose", "run_fixed",
-    "run_pla",
+    "gbh_terms", "generate", "kernel", "lr_schedule", "pairwise_distances",
+    "pca_reduce", "pk_sample", "propose", "run_fixed", "run_pla",
 ]

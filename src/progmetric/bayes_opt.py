@@ -85,34 +85,27 @@ def estimate_bandwidth(points):
     return np.maximum(scale**2, BANDWIDTH_FLOOR)
 
 
-def kernel(w1, w2, bandwidth, literal=False):
+def kernel(w1, w2, bandwidth):
     """Gaussian kernel with normalization (2 pi)^(-d/2) |B|^(-1/2).
 
-    The default (stationary) form uses the squared Mahalanobis distance of
-    w1 - w2 under the diagonal bandwidth.  literal=True switches to the
-    non-stationary bilinear exponent exp(-0.5 w1^T B^-1 w2), kept only for
-    fidelity experiments: it is not a valid covariance in general.
+    The exponent is the squared Mahalanobis distance of w1 - w2 under the
+    diagonal bandwidth.
     """
     bandwidth = np.asarray(bandwidth, dtype=float)
     if np.any(bandwidth <= 0.0):
         raise ConfigurationError("bandwidth entries must be positive")
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
+    diff = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
     d = len(bandwidth)
     const = (2.0 * np.pi) ** (-d / 2.0) / np.sqrt(np.prod(bandwidth))
-    if literal:
-        q = np.sum(w1 * w2 / bandwidth)
-    else:
-        diff = w1 - w2
-        q = np.sum(diff * diff / bandwidth)
+    q = np.sum(diff * diff / bandwidth)
     return float(const * np.exp(-0.5 * q))
 
 
-def _kernel_matrix(x1, x2, bandwidth, literal):
+def _kernel_matrix(x1, x2, bandwidth):
     out = np.empty((len(x1), len(x2)))
     for i in range(len(x1)):
         for j in range(len(x2)):
-            out[i, j] = kernel(x1[i], x2[j], bandwidth, literal)
+            out[i, j] = kernel(x1[i], x2[j], bandwidth)
     return out
 
 
@@ -125,12 +118,11 @@ class GPState:
     bandwidth: np.ndarray
     mean_level: float
     jitter: float = DEFAULT_JITTER
-    literal_kernel: bool = False
     _chol: np.ndarray = field(default=None, repr=False)
 
     def _gram_cholesky(self):
         if self._chol is None:
-            gram = _kernel_matrix(self.points, self.points, self.bandwidth, self.literal_kernel)
+            gram = _kernel_matrix(self.points, self.points, self.bandwidth)
             gram[np.diag_indices_from(gram)] += self.jitter
             try:
                 self._chol = np.linalg.cholesky(gram)
@@ -142,16 +134,16 @@ class GPState:
         """Posterior (mean, variance) at a candidate; variance clamped at 0."""
         v = candidate if isinstance(candidate, np.ndarray) else hp_to_vector(candidate)
         chol = self._gram_cholesky()
-        kvec = _kernel_matrix(self.points, v[None, :], self.bandwidth, self.literal_kernel)[:, 0]
+        kvec = _kernel_matrix(self.points, v[None, :], self.bandwidth)[:, 0]
         resid = self.values - self.mean_level
         alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
         mean = self.mean_level + kvec @ alpha
         beta = np.linalg.solve(chol, kvec)
-        var = kernel(v, v, self.bandwidth, self.literal_kernel) - beta @ beta
+        var = kernel(v, v, self.bandwidth) - beta @ beta
         return float(mean), float(max(var, 0.0))
 
 
-def fit_gp(points, values, jitter=DEFAULT_JITTER, literal_kernel=False, bandwidth=None):
+def fit_gp(points, values, jitter=DEFAULT_JITTER, bandwidth=None):
     """Build a GPState from observed HyperParams (or vectors) and values.
 
     The constant mean is the running mean of the observed values; the
@@ -170,7 +162,6 @@ def fit_gp(points, values, jitter=DEFAULT_JITTER, literal_kernel=False, bandwidt
         bandwidth=np.asarray(bandwidth, dtype=float),
         mean_level=float(y.mean()),
         jitter=jitter,
-        literal_kernel=literal_kernel,
     )
 
 

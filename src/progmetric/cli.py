@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, tune-demo, report.  All numeric output
 goes to files; a short human summary goes to standard output.  Exit status
-is 0 only when every declared output was written.
+is 0 only when every declared output was written, 1 for bad input or I/O
+failures, and 2 when training or tuning fails numerically.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import synthetic
+from .bayes_opt import NumericalError
 from .config import ConfigError, RunConfig, load_config
 from .evaluation import evaluate, metrics_csv_lines, pca_apply, pca_reduce
-from .model import forward
+from .model import NonFiniteGradientError, forward
 from .trainer import (
     Checkpoint,
     TRAIN_MODES,
@@ -200,6 +202,9 @@ def main(argv=None):
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (NumericalError, NonFiniteGradientError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -121,26 +121,6 @@ def _check_triplet_batch(pos_mask, neg_mask):
         raise DegenerateBatchError("an anchor has no negative (need P >= 2)")
 
 
-def lmnn_loss(embeddings, labels, mu, margin):
-    """Weighted sum of intra-class distances and hinged triplet violations.
-
-    Kept for reference and testing; the training path uses the batch-hard
-    family below.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise InvalidInputError("mu must lie in [0, 1]")
-    d = pairwise_distances(embeddings)
-    pos_mask, neg_mask = _masks(labels)
-    intra = float(d[pos_mask].sum())
-    hinge = 0.0
-    n = len(d)
-    for a in range(n):
-        negs = d[a, neg_mask[a]]
-        for b in np.flatnonzero(pos_mask[a]):
-            hinge += float(np.maximum(margin + d[a, b] - negs, 0.0).sum())
-    return (1.0 - mu) * intra + mu * hinge
-
-
 def batch_hard_loss(embeddings, labels, margin):
     """Sum over anchors of hinge(margin + farthest positive - nearest negative)."""
     d = pairwise_distances(embeddings)
@@ -155,23 +135,19 @@ def gbh_select(dist, labels, k, p):
     """Indices of the k-th farthest positive and p-th nearest negative per anchor.
 
     k and p clamp to the available counts; order-statistic ties break toward
-    the lowest sample index.
+    the lowest sample index (a stable sort keeps equal distances in index
+    order, and excluded entries sort last as +inf).
     """
     if k < 1 or p < 1:
         raise InvalidInputError("k and p must be >= 1")
     pos_mask, neg_mask = _masks(labels)
     _check_triplet_batch(pos_mask, neg_mask)
-    n = len(dist)
-    pos_idx = np.empty(n, dtype=int)
-    neg_idx = np.empty(n, dtype=int)
-    for a in range(n):
-        cand = np.flatnonzero(pos_mask[a])
-        order = np.lexsort((cand, -dist[a, cand]))
-        pos_idx[a] = cand[order[min(k, len(cand)) - 1]]
-        cand = np.flatnonzero(neg_mask[a])
-        order = np.lexsort((cand, dist[a, cand]))
-        neg_idx[a] = cand[order[min(p, len(cand)) - 1]]
-    return pos_idx, neg_idx
+    rows = np.arange(len(dist))
+    far_pos = np.argsort(np.where(pos_mask, -dist, np.inf), axis=1, kind="stable")
+    near_neg = np.argsort(np.where(neg_mask, dist, np.inf), axis=1, kind="stable")
+    k_col = np.minimum(k, pos_mask.sum(axis=1)) - 1
+    p_col = np.minimum(p, neg_mask.sum(axis=1)) - 1
+    return far_pos[rows, k_col], near_neg[rows, p_col]
 
 
 def gbh_terms(dist, labels, k, p):
@@ -238,24 +214,24 @@ def _triplet_grad(embeddings, labels, k, p, margin, outer):
     d = pairwise_distances(x)
     pos_idx, neg_idx = gbh_select(d, labels, k, p)
     rows = np.arange(len(x))
-    t = margin + d[rows, pos_idx] - d[rows, neg_idx]
+    d_ab = d[rows, pos_idx]
+    d_an = d[rows, neg_idx]
+    t = margin + d_ab - d_an
     if outer == "softplus":
         value = float(softplus(t).sum())
         coeff = expit(t)
     else:
         value = float(np.maximum(t, 0.0).sum())
         coeff = (t > 0.0).astype(float)
+    c = coeff[:, None]
+    u_ab = (x - x[pos_idx]) / np.maximum(d_ab, DIST_EPS)[:, None]
+    u_an = (x - x[neg_idx]) / np.maximum(d_an, DIST_EPS)[:, None]
+    # np.add.at applies the (anchor, positive, negative) rows in anchor
+    # order, so each gradient row sums its terms in a fixed, loop-equal order.
+    targets = np.stack([rows, pos_idx, neg_idx], axis=1).ravel()
+    terms = np.stack([c * (u_ab - u_an), -(c * u_ab), c * u_an], axis=1)
     grad = np.zeros_like(x)
-    for a in rows:
-        c = coeff[a]
-        if c == 0.0:
-            continue
-        b, nn = pos_idx[a], neg_idx[a]
-        u_ab = (x[a] - x[b]) / max(d[a, b], DIST_EPS)
-        u_an = (x[a] - x[nn]) / max(d[a, nn], DIST_EPS)
-        grad[a] += c * (u_ab - u_an)
-        grad[b] -= c * u_ab
-        grad[nn] += c * u_an
+    np.add.at(grad, targets, terms.reshape(-1, x.shape[1]))
     return value, grad
 
 
@@ -270,16 +246,15 @@ def batch_hard_grad(embeddings, labels, margin):
 
 
 def composite_loss_grad(embeddings, labels, logits, class_ids, w: HyperParams):
-    """Analytic gradients of the composite loss.
+    """Composite loss breakdown and its analytic gradients in one pass.
 
-    Returns (gradient w.r.t. embeddings, gradient w.r.t. logits).  The
-    embedding gradient carries only the triplet term (already scaled by
-    lam); the logit gradient carries only the cross-entropy term.
+    Returns (LossBreakdown, gradient w.r.t. embeddings, gradient w.r.t.
+    logits).  The embedding gradient carries only the triplet term (already
+    scaled by lam, exactly zero at lam = 0); the logit gradient carries only
+    the cross-entropy term.
     """
-    if w.lam == 0.0:
-        g_emb = np.zeros_like(np.asarray(embeddings, dtype=float))
-    else:
-        _, g_emb = gbh_loss_grad(embeddings, labels, w)
-        g_emb = w.lam * g_emb
-    g_logits = cross_entropy_grad(logits, class_ids)
-    return g_emb, g_logits
+    ce = cross_entropy_loss(logits, class_ids)
+    g, g_emb = gbh_loss_grad(embeddings, labels, w)
+    g_emb = w.lam * g_emb if w.lam != 0.0 else np.zeros_like(g_emb)
+    breakdown = LossBreakdown(softmax_term=ce, gbh_term=g, total=ce + w.lam * g)
+    return breakdown, g_emb, cross_entropy_grad(logits, class_ids)

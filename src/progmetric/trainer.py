@@ -123,6 +123,8 @@ def load_checkpoint(path):
             v=[read_like(a) for a in params.arrays()],
             step=step,
         )
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after checkpoint")
     return Checkpoint(params=params, adam=adam, epoch=epoch)
 
 
@@ -177,15 +179,14 @@ class RunResult:
 
 def batch_loss_and_grads(mode, emb, logits, batch_labels, class_ids, w: HyperParams):
     """Loss breakdown and output-level gradients for one batch in a mode."""
-    if mode in ("pla", "composite_fixed", "composite"):
+    if mode in ("pla", "composite_fixed"):
         # Composite training mirrors the two-head split: the triplet term
         # sees only the triplet head's half of the embedding, cross-entropy
         # reaches the softmax head through the logits.  Single-loss modes
         # give the whole embedding to their one loss.
         half = emb.shape[1] // 2
         trip = emb[:, :half]
-        breakdown = losses.composite_loss(trip, batch_labels, logits, class_ids, w)
-        d_trip, d_logits = losses.composite_loss_grad(
+        breakdown, d_trip, d_logits = losses.composite_loss_grad(
             trip, batch_labels, logits, class_ids, w)
         d_emb = np.zeros_like(emb)
         d_emb[:, :half] = d_trip
@@ -214,11 +215,10 @@ class TrainingRun:
                  opt_cfg: OptimizerConfig, batch_spec: BatchSpec, seed):
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels)
-        classes = np.unique(self.labels)
-        self.class_index = {ident: i for i, ident in enumerate(classes)}
+        self.classes = np.unique(self.labels)
         self.model_cfg = ModelConfig(
             d_in=model_cfg.d_in, hidden=model_cfg.hidden,
-            embed_dim=model_cfg.embed_dim, n_classes=len(classes))
+            embed_dim=model_cfg.embed_dim, n_classes=len(self.classes))
         rng = np.random.default_rng(seed)
         self.params = ModelParams.init(self.model_cfg, rng)
         self.adam = AdamState.zeros_like(self.params)
@@ -227,7 +227,8 @@ class TrainingRun:
         self.epoch = 0  # global epoch counter; never rewound by restoration
 
     def class_ids_for(self, labels):
-        return np.array([self.class_index[l] for l in labels])
+        """Dense class index (logit column) of each identity label."""
+        return np.searchsorted(self.classes, labels)
 
     def train_epochs(self, mode, w: HyperParams, n_epochs, phase, candidate,
                      report: RunReport | None = None):
@@ -273,7 +274,7 @@ def explore(run: TrainingRun, w: HyperParams, cfg: PlaConfig, candidate,
     Scores |relative drop of the mean loss between the two halves - ED|.
     """
     ckpt = run.snapshot()
-    stats = run.train_epochs("composite", w, cfg.explore_epochs,
+    stats = run.train_epochs("composite_fixed", w, cfg.explore_epochs,
                              phase="explore", candidate=candidate, report=report)
     totals = [s.mean_total for s in stats]
     half = cfg.objective_split

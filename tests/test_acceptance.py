@@ -116,7 +116,7 @@ def test_criterion_2_gradient_fidelity():
         # loss-level gradient vs central differences
         emb = rng.normal(size=(n, 4), scale=2.0)
         logits = rng.normal(size=(n, n_ids))
-        d_emb, d_logits = composite_loss_grad(emb, labels, logits, labels, w)
+        _, d_emb, d_logits = composite_loss_grad(emb, labels, logits, labels, w)
         step = 1e-6
         fd = []
         an = []
@@ -140,7 +140,7 @@ def test_criterion_2_gradient_fidelity():
         params = ModelParams.init(cfg, rng)
         x = rng.normal(size=(n, 3), scale=2.0)
         e, l, cache = forward_with_cache(params, x)
-        ge, gl = composite_loss_grad(e, labels, l, labels, w)
+        _, ge, gl = composite_loss_grad(e, labels, l, labels, w)
         grads = backward(params, cache, ge, gl)
         fdv, anv = [], []
         for arr, g in zip(params.arrays(), grads.arrays()):
@@ -255,7 +255,7 @@ def test_criterion_6_restoration_and_reproducibility():
 
     run = TrainingRun(ds.features, ds.labels, model_cfg, OptimizerConfig(),
                       batch, seed=0)
-    run.train_epochs("composite", HyperParams(1.0, 0.2, 1, 1), 2,
+    run.train_epochs("composite_fixed", HyperParams(1.0, 0.2, 1, 1), 2,
                      phase="exploit", candidate=0)
     before = run.snapshot()
     explore(run, HyperParams(0.7, 0.1, 2, 3), pla, candidate=0)

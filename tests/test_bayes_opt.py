@@ -52,13 +52,6 @@ def test_kernel_scalar_reference_value():
         0.24197, abs=1e-5)
 
 
-def test_kernel_literal_form():
-    b = np.ones(2)
-    x1, x2 = np.array([1.0, 0.0]), np.array([2.0, 0.0])
-    expected = (2 * np.pi) ** -1 * np.exp(-0.5 * 2.0)
-    assert kernel(x1, x2, b, literal=True) == pytest.approx(expected, rel=1e-12)
-
-
 def test_kernel_rejects_singular_bandwidth():
     with pytest.raises(ConfigurationError):
         kernel(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))

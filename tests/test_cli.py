@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from progmetric import cli
+from progmetric.bayes_opt import NumericalError
 from progmetric.cli import main
 from progmetric.config import config_from_dict, load_config, ConfigError
+from progmetric.model import NonFiniteGradientError
 
 
 def write_config(tmp_path, **over):
@@ -140,6 +143,20 @@ def test_train_missing_dataset(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_nonfinite_gradient_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    ds = gen_dataset(tmp_path, cfg)
+    capsys.readouterr()
+
+    def diverged(*args, **kwargs):
+        raise NonFiniteGradientError("non-finite gradient encountered")
+
+    monkeypatch.setattr(cli, "run_pla", diverged)
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: non-finite gradient encountered\n"
+
+
 # -------------------------------------------------------------------- eval
 
 def summary_values(path):
@@ -197,6 +214,16 @@ def test_tune_demo_trace_counting(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "index,phase,lambda,margin,k,p,value,best_so_far"
     assert len(lines) == 1 + 4 + 1  # header + initial design + one proposal
+
+
+def test_tune_demo_numerical_error_exits_2(capsys, monkeypatch):
+    def ill_conditioned(*args, **kwargs):
+        raise NumericalError("Gram matrix ill-conditioned after jitter")
+
+    monkeypatch.setattr(cli, "run_tuning", ill_conditioned)
+    assert main(["tune-demo", "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Gram matrix ill-conditioned after jitter\n"
 
 
 def test_tune_demo_deterministic(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+from progmetric import losses
 from progmetric.losses import (
     DegenerateBatchError,
     HyperParams,
@@ -17,7 +19,6 @@ from progmetric.losses import (
     gbh_loss,
     gbh_loss_grad,
     gbh_terms,
-    lmnn_loss,
     pairwise_distances,
     softplus,
 )
@@ -62,35 +63,6 @@ def test_pairwise_matrix_properties(seed):
         for j in range(6):
             for k in range(6):
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
-
-
-# --------------------------------------------------------------------- lmnn
-
-def lmnn_oracle(x, labels, mu, margin):
-    d = pairwise_distances(x)
-    n = len(x)
-    intra = sum(d[a, b] for a in range(n) for b in range(n) if labels[a] == labels[b])
-    hinge = sum(
-        max(margin + d[a, b] - d[a, nn], 0.0)
-        for a in range(n) for b in range(n) for nn in range(n)
-        if a != b and labels[a] == labels[b] and labels[nn] != labels[a]
-    )
-    return (1 - mu) * intra + mu * hinge
-
-
-def test_lmnn_zero_intra():
-    x = np.array([[1.0], [1.0], [5.0], [5.0]])
-    assert lmnn_loss(x, LINE_LABELS, mu=0.0, margin=0.2) == 0.0
-
-
-def test_lmnn_satisfied_hinge():
-    x = np.array([[0.0], [0.1], [100.0], [100.1]])
-    assert lmnn_loss(x, LINE_LABELS, mu=1.0, margin=0.0) == 0.0
-
-
-def test_lmnn_matches_triple_enumeration():
-    got = lmnn_loss(LINE, LINE_LABELS, mu=0.5, margin=0.2)
-    assert got == pytest.approx(lmnn_oracle(LINE, LINE_LABELS, 0.5, 0.2), rel=1e-12)
 
 
 # --------------------------------------------------------------- batch hard
@@ -177,6 +149,87 @@ def test_gbh_terms_monotone_in_k_and_p():
 def test_gbh_terms_degenerate():
     with pytest.raises(DegenerateBatchError):
         gbh_terms(np.zeros((2, 2)), [0, 1], 1, 1)
+
+
+# ---------------------------------------------------- per-anchor references
+
+def loop_select(dist, labels, k, p):
+    """Per-anchor lexsort selection, the reference for gbh_select."""
+    n = len(dist)
+    same = labels[:, None] == labels[None, :]
+    pos_mask = same & ~np.eye(n, dtype=bool)
+    neg_mask = ~same
+    pos_idx = np.empty(n, dtype=int)
+    neg_idx = np.empty(n, dtype=int)
+    for a in range(n):
+        cand = np.flatnonzero(pos_mask[a])
+        order = np.lexsort((cand, -dist[a, cand]))
+        pos_idx[a] = cand[order[min(k, len(cand)) - 1]]
+        cand = np.flatnonzero(neg_mask[a])
+        order = np.lexsort((cand, dist[a, cand]))
+        neg_idx[a] = cand[order[min(p, len(cand)) - 1]]
+    return pos_idx, neg_idx
+
+
+def loop_triplet_grad(x, labels, k, p, margin, outer):
+    """Per-anchor gradient scatter, the reference for the triplet kernel."""
+    d = pairwise_distances(x)
+    pos_idx, neg_idx = loop_select(d, labels, k, p)
+    rows = np.arange(len(x))
+    t = margin + d[rows, pos_idx] - d[rows, neg_idx]
+    if outer == "softplus":
+        value = float(softplus(t).sum())
+        coeff = expit(t)
+    else:
+        value = float(np.maximum(t, 0.0).sum())
+        coeff = (t > 0.0).astype(float)
+    grad = np.zeros_like(x)
+    for a in rows:
+        c = coeff[a]
+        if c == 0.0:
+            continue
+        b, nn = pos_idx[a], neg_idx[a]
+        u_ab = (x[a] - x[b]) / max(d[a, b], losses.DIST_EPS)
+        u_an = (x[a] - x[nn]) / max(d[a, nn], losses.DIST_EPS)
+        grad[a] += c * (u_ab - u_an)
+        grad[b] -= c * u_ab
+        grad[nn] += c * u_an
+    return value, grad
+
+
+def tie_heavy_batch(rng):
+    """Small integer coordinates (many equal distances, coincident points)
+    under shuffled, non-contiguous identity labels."""
+    ids = rng.choice(1000, int(rng.integers(2, 7)), replace=False)
+    labels = rng.permutation(np.repeat(ids, int(rng.integers(2, 6))))
+    dim = int(rng.integers(1, 4))
+    return rng.integers(-2, 3, size=(len(labels), dim)).astype(float), labels
+
+
+def test_gbh_select_matches_per_anchor_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        x, labels = tie_heavy_batch(rng)
+        d = pairwise_distances(x)
+        k, p = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        pos_idx, neg_idx = losses.gbh_select(d, labels, k, p)
+        ref_pos, ref_neg = loop_select(d, labels, k, p)
+        assert np.array_equal(pos_idx, ref_pos)
+        assert np.array_equal(neg_idx, ref_neg)
+
+
+@pytest.mark.parametrize("outer", ["softplus", "hinge"])
+def test_triplet_grad_matches_per_anchor_reference(outer):
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        x, labels = tie_heavy_batch(rng)
+        k, p = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        margin = float(rng.choice([-0.1, 0.0, 0.2]))
+        value, grad = losses._triplet_grad(x, labels, k, p, margin, outer)
+        ref_value, ref_grad = loop_triplet_grad(x, labels, k, p, margin, outer)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
 
 
 # ----------------------------------------------------------------- gbh loss
@@ -292,7 +345,7 @@ def test_grad_lambda_zero_embeddings():
     x, labels = random_balanced_batch(rng)
     logits = rng.normal(size=(len(x), 3))
     w = HyperParams(lam=0.0, margin=0.1, k=1, p=1)
-    g_emb, _ = composite_loss_grad(x, labels, logits, labels % 3, w)
+    _, g_emb, _ = composite_loss_grad(x, labels, logits, labels % 3, w)
     np.testing.assert_array_equal(g_emb, np.zeros_like(x))
 
 
@@ -303,7 +356,7 @@ def test_grad_matches_finite_differences():
         logits = rng.normal(size=(len(x), 3))
         cids = rng.integers(0, 3, len(x))
         w = HyperParams(lam=1.5, margin=0.1, k=2, p=2)
-        g_emb, g_log = composite_loss_grad(x, labels, logits, cids, w)
+        _, g_emb, g_log = composite_loss_grad(x, labels, logits, cids, w)
         fd_emb, fd_log = fd_gradients(x, labels, logits, cids, w)
         assert np.abs(g_emb - fd_emb).max() <= 1e-4 * max(np.abs(fd_emb).max(), 1.0)
         assert np.abs(g_log - fd_log).max() <= 1e-4 * max(np.abs(fd_log).max(), 1.0)
@@ -312,8 +365,20 @@ def test_grad_matches_finite_differences():
 def test_grad_finite_at_coincident_points():
     x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     w = HyperParams(lam=1.0, margin=0.2, k=1, p=1)
-    g_emb, _ = composite_loss_grad(x, LINE_LABELS, np.zeros((4, 2)), LINE_LABELS, w)
+    _, g_emb, _ = composite_loss_grad(x, LINE_LABELS, np.zeros((4, 2)), LINE_LABELS, w)
     assert np.all(np.isfinite(g_emb))
+
+
+def test_composite_grad_breakdown_matches_composite_loss():
+    rng = np.random.default_rng(8)
+    for lam in (0.0, 0.7, 2.0):
+        x, labels = random_balanced_batch(rng, p=4, k=3)
+        logits = rng.normal(size=(len(x), 4))
+        w = HyperParams(lam=lam, margin=0.1, k=2, p=3)
+        got, _, _ = composite_loss_grad(x, labels, logits, labels, w)
+        want = composite_loss(x, labels, logits, labels, w)
+        for part in ("softmax_term", "gbh_term", "total"):
+            assert getattr(got, part) == pytest.approx(getattr(want, part), rel=1e-12)
 
 
 def test_batch_hard_grad_value_matches_loss():

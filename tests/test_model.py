@@ -222,7 +222,7 @@ def test_backward_composite_loss_finite_differences():
     labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
     w = HyperParams(lam=1.0, margin=0.2, k=1, p=2)
     emb, logits, cache = forward_with_cache(params, x)
-    d_emb, d_logits = composite_loss_grad(emb, labels, logits, labels, w)
+    _, d_emb, d_logits = composite_loss_grad(emb, labels, logits, labels, w)
     grads = backward(params, cache, d_emb, d_logits)
 
     def loss():

@@ -56,7 +56,7 @@ def adam_equal(a, b):
 
 def test_explore_restores_bit_exactly():
     run = make_run()
-    run.train_epochs("composite", W, 2, phase="exploit", candidate=0)
+    run.train_epochs("composite_fixed", W, 2, phase="exploit", candidate=0)
     before = run.snapshot()
     rec = explore(run, HyperParams(0.5, 0.1, 2, 3), small_pla(), candidate=1)
     assert params_equal(run.params, before.params)
@@ -81,8 +81,8 @@ def test_explore_on_frozen_model_scores_near_expected_drop():
 
 def test_train_epochs_bit_reproducible():
     r1, r2 = make_run(5), make_run(5)
-    s1 = r1.train_epochs("composite", W, 4, phase="exploit", candidate=0)
-    s2 = r2.train_epochs("composite", W, 4, phase="exploit", candidate=0)
+    s1 = r1.train_epochs("composite_fixed", W, 4, phase="exploit", candidate=0)
+    s2 = r2.train_epochs("composite_fixed", W, 4, phase="exploit", candidate=0)
     assert [s.mean_total for s in s1] == [s.mean_total for s in s2]
     assert params_equal(r1.params, r2.params)
 
@@ -124,6 +124,8 @@ def test_run_fixed_rejects_pla_and_unknown_modes():
         run_fixed(x, y, "pla", W, 2, MODEL, OptimizerConfig(), BATCH, seed=0)
     with pytest.raises(ValueError):
         run_fixed(x, y, "banana", W, 2, MODEL, OptimizerConfig(), BATCH, seed=0)
+    with pytest.raises(ValueError):
+        make_run().train_epochs("composite", W, 1, phase="train", candidate=0)
 
 
 # ---------------------------------------------------------------- pla loop
@@ -179,7 +181,7 @@ def test_pla_config_validation():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     run = make_run(9)
-    run.train_epochs("composite", W, 3, phase="exploit", candidate=0)
+    run.train_epochs("composite_fixed", W, 3, phase="exploit", candidate=0)
     ckpt = run.snapshot()
     path = tmp_path / "model.bin"
     save_checkpoint(path, ckpt)
@@ -203,6 +205,15 @@ def test_checkpoint_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    run = make_run(10)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, run.snapshot())
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
         load_checkpoint(path)
 
 
