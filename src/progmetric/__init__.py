@@ -9,7 +9,6 @@ metrics and PCA (`evaluation`), and a synthetic dataset generator
 
 from .losses import (
     DegenerateBatchError,
-    EmbeddingBatch,
     HyperParams,
     InvalidInputError,
     LossBreakdown,
@@ -38,7 +37,7 @@ from .evaluation import QueryGallerySplit, RetrievalMetrics, evaluate, pca_reduc
 from .synthetic import LabeledDataset, SynthSpec, generate
 
 __all__ = [
-    "BatchSpec", "DegenerateBatchError", "EmbeddingBatch", "ExplorationRecord",
+    "BatchSpec", "DegenerateBatchError", "ExplorationRecord",
     "GPState", "HyperParams", "InvalidInputError", "LabeledDataset",
     "LossBreakdown", "ModelConfig", "ModelParams", "OptimizerConfig",
     "PKSampler", "PlaConfig", "QueryGallerySplit", "RetrievalMetrics",

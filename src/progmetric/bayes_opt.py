@@ -7,9 +7,10 @@ grids and are embedded as reals inside the GP, rounding on instantiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import norm
 
 from .losses import HyperParams, K_RANGE, LAMBDA_RANGE, MARGIN_RANGE, P_RANGE
@@ -89,7 +90,8 @@ def kernel(w1, w2, bandwidth):
     """Gaussian kernel with normalization (2 pi)^(-d/2) |B|^(-1/2).
 
     The exponent is the squared Mahalanobis distance of w1 - w2 under the
-    diagonal bandwidth.
+    diagonal bandwidth.  Leading axes broadcast: two vectors give a scalar,
+    kernel(x[:, None], y[None], b) the len(x) x len(y) matrix.
     """
     bandwidth = np.asarray(bandwidth, dtype=float)
     if np.any(bandwidth <= 0.0):
@@ -97,50 +99,59 @@ def kernel(w1, w2, bandwidth):
     diff = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
     d = len(bandwidth)
     const = (2.0 * np.pi) ** (-d / 2.0) / np.sqrt(np.prod(bandwidth))
-    q = np.sum(diff * diff / bandwidth)
-    return float(const * np.exp(-0.5 * q))
+    q = np.sum(diff * diff / bandwidth, axis=-1)
+    return const * np.exp(-0.5 * q)
 
 
-def _kernel_matrix(x1, x2, bandwidth):
-    out = np.empty((len(x1), len(x2)))
-    for i in range(len(x1)):
-        for j in range(len(x2)):
-            out[i, j] = kernel(x1[i], x2[j], bandwidth)
-    return out
+# Jitters tried after the configured one fails, as multiples of the Gram
+# diagonal: a floored bandwidth's kernel peak dwarfs any absolute jitter.
+JITTER_RETRY_SCALES = (1e-12, 1e-10, 1e-8, 1e-6)
 
 
 @dataclass
 class GPState:
-    """Observed hyperparameter vectors, objective values, and kernel settings."""
+    """Observed hyperparameter vectors, objective values, and kernel settings.
+
+    Construction caches the Gram matrix's lower Cholesky factor and
+    alpha = K^-1 (values - mean_level); `jitter` records the jitter used.
+    """
 
     points: np.ndarray
     values: np.ndarray
     bandwidth: np.ndarray
     mean_level: float
     jitter: float = DEFAULT_JITTER
-    _chol: np.ndarray = field(default=None, repr=False)
 
-    def _gram_cholesky(self):
-        if self._chol is None:
-            gram = _kernel_matrix(self.points, self.points, self.bandwidth)
-            gram[np.diag_indices_from(gram)] += self.jitter
+    def __post_init__(self):
+        gram = kernel(self.points[:, None], self.points[None], self.bandwidth)
+        peak = float(gram.diagonal().max())
+        for jitter in (self.jitter, *(peak * s for s in JITTER_RETRY_SCALES)):
             try:
-                self._chol = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("Gram matrix ill-conditioned after jitter") from exc
-        return self._chol
+                self._chol = np.linalg.cholesky(gram + jitter * np.eye(len(gram)))
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(np.isfinite(self._chol)):
+                break
+        else:
+            raise NumericalError("Gram matrix ill-conditioned after jitter")
+        self.jitter = jitter
+        self._alpha = cho_solve((self._chol, True), self.values - self.mean_level,
+                                check_finite=False)
 
-    def posterior(self, candidate):
-        """Posterior (mean, variance) at a candidate; variance clamped at 0."""
-        v = candidate if isinstance(candidate, np.ndarray) else hp_to_vector(candidate)
-        chol = self._gram_cholesky()
-        kvec = _kernel_matrix(self.points, v[None, :], self.bandwidth)[:, 0]
-        resid = self.values - self.mean_level
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
-        mean = self.mean_level + kvec @ alpha
-        beta = np.linalg.solve(chol, kvec)
-        var = kernel(v, v, self.bandwidth) - beta @ beta
-        return float(mean), float(max(var, 0.0))
+    def posterior(self, candidates):
+        """Posterior (mean, variance >= 0): floats at one candidate (a vector
+        or HyperParams), length-m arrays at an (m, d) stack of candidates."""
+        v = np.asarray(hp_to_vector(candidates) if isinstance(candidates, HyperParams)
+                       else candidates, dtype=float)
+        stack = np.atleast_2d(v)
+        k_star = kernel(stack[:, None], self.points, self.bandwidth)
+        mean = self.mean_level + k_star @ self._alpha
+        beta = solve_triangular(self._chol, k_star.T, lower=True, check_finite=False)
+        var = np.maximum(kernel(stack, stack, self.bandwidth) - np.sum(beta * beta, axis=0),
+                         0.0)
+        if v.ndim == 1:
+            return float(mean[0]), float(var[0])
+        return mean, var
 
 
 def fit_gp(points, values, jitter=DEFAULT_JITTER, bandwidth=None):
@@ -165,24 +176,24 @@ def fit_gp(points, values, jitter=DEFAULT_JITTER, bandwidth=None):
     )
 
 
-def expected_improvement(state: GPState, candidate, best_value):
+def expected_improvement(state: GPState, candidates, best_value):
     """Closed-form EI for minimization: sigma * (Z Phi(Z) + phi(Z)).
 
-    Z = (best_value - posterior mean) / sigma; returns 0 when sigma = 0.
+    Z = (best_value - posterior mean) / sigma; EI is exactly 0 where
+    sigma = 0.  Takes one candidate (returns a float) or an (m, d) stack.
     """
-    mean, var = state.posterior(candidate)
+    mean, var = state.posterior(candidates)
     sigma = np.sqrt(var)
-    if sigma <= 0.0:
-        return 0.0
-    z = (best_value - mean) / sigma
-    return float(max(sigma * (z * norm.cdf(z) + norm.pdf(z)), 0.0))
+    flat = sigma <= 0.0
+    z = (best_value - mean) / np.where(flat, 1.0, sigma)
+    ei = np.where(flat, 0.0, np.maximum(sigma * (z * norm.cdf(z) + norm.pdf(z)), 0.0))
+    return float(ei) if ei.ndim == 0 else ei
 
 
 def propose(state: GPState, pool_size, rng: np.random.Generator):
     """EI-argmax over a uniform candidate pool; ties go to the first hit."""
     pool = sample_box(rng, pool_size)
-    best = float(state.values.min())
-    scores = np.array([expected_improvement(state, c, best) for c in pool])
+    scores = expected_improvement(state, pool, float(state.values.min()))
     return vector_to_hp(pool[int(np.argmax(scores))])
 
 

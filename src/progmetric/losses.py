@@ -64,24 +64,6 @@ class LossBreakdown:
     total: float
 
 
-@dataclass
-class EmbeddingBatch:
-    """N x d embeddings with one identity label per row."""
-
-    embeddings: np.ndarray
-    labels: np.ndarray
-
-    def validate_balanced(self):
-        """Check the P-identities-times-K-samples structure."""
-        if len(self.labels) != len(self.embeddings):
-            raise InvalidInputError("labels and embeddings length mismatch")
-        if not np.all(np.isfinite(self.embeddings)):
-            raise InvalidInputError("non-finite embedding entries")
-        _, counts = np.unique(self.labels, return_counts=True)
-        if len(set(counts)) != 1:
-            raise InvalidInputError("identities are not equally represented")
-
-
 def softplus(x):
     """Overflow-safe ln(1 + exp(x))."""
     x = np.asarray(x, dtype=float)

@@ -48,6 +48,9 @@ class PlaConfig:
 
     Desk-scale defaults; the reference large-scale settings are
     max_epochs=3000, explore_epochs=20, exploit_epochs=300, initial_design=8.
+
+    Budget rule: a phase starts only while total_epochs < max_epochs and is
+    never cut; an explore round counts as one phase.
     """
 
     max_epochs: int = 120
@@ -172,6 +175,9 @@ class RunReport:
 
 @dataclass
 class RunResult:
+    """`best_params` is, for run_pla, the model after its lowest-loss exploit
+    phase; fixed modes return a copy of the final params."""
+
     best_params: ModelParams
     final_params: ModelParams
     report: RunReport
@@ -302,17 +308,10 @@ def run_fixed(features, labels, mode, w: HyperParams, n_epochs,
     report = RunReport(mode=mode, config_summary={
         "mode": mode, "epochs": n_epochs, "seed": seed,
         "lambda": w.lam, "margin": w.margin, "k": w.k, "p": w.p})
-    best_params = run.params.copy()
-    best = float("inf")
     stats = run.train_epochs(mode, w, n_epochs, phase="train", candidate=0,
                              report=report)
-    for s in stats:
-        if s.mean_total < best:
-            best = s.mean_total
-    # Fixed modes keep the final model; "best" tracks the lowest epoch mean.
-    report.best_loss = best
-    best_params = run.params.copy()
-    return RunResult(best_params=best_params, final_params=run.params,
+    report.best_loss = min((s.mean_total for s in stats), default=float("inf"))
+    return RunResult(best_params=run.params.copy(), final_params=run.params,
                      report=report)
 
 
@@ -323,6 +322,7 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
     Repeats {explore each candidate per policy; fit GP; propose a new
     candidate; train exploit_epochs under it; track the model with the
     lowest exploitation-phase mean loss} until the epoch budget is spent.
+    A phase starts only while total_epochs < max_epochs and is never cut.
     """
     run = TrainingRun(features, labels, model_cfg, opt_cfg,
                       pla_cfg.batch_spec, seed)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from progmetric.bayes_opt import (
     BOX_HIGH,
     BOX_LOW,
+    DEFAULT_JITTER,
     ConfigurationError,
     GPState,
     InvalidMeasurementError,
+    NumericalError,
     drop_rate_objective,
     estimate_bandwidth,
     expected_improvement,
@@ -148,6 +152,100 @@ def test_adding_observation_never_increases_variance():
             _, v_small = small.posterior(cand)
             _, v_big = big.posterior(cand)
             assert v_big <= v_small + 1e-8
+
+
+def test_fit_gp_coincident_points_retries_jitter():
+    # Five copies of one point floor the bandwidth, so the Gram diagonal is
+    # ~2.5e10 and the default absolute jitter cannot make it definite.
+    pt = np.array([1.0, 0.2, 4.0, 6.0])
+    pts = np.tile(pt, (5, 1))
+    vals = np.random.default_rng(12).uniform(0.0, 0.3, 5)
+    state = fit_gp(pts, vals)
+    assert state.jitter > DEFAULT_JITTER
+    w = propose(state, 64, np.random.default_rng(13))
+    assert isinstance(w, HyperParams)
+    v = hp_to_vector(w)
+    assert np.all(v >= BOX_LOW) and np.all(v <= BOX_HIGH)
+
+    # Dense solve with the recorded jitter.  At the observed point the
+    # variance is about jitter / 5, so it pins the jitter actually used;
+    # offsets of five bandwidth sigmas keep the mean well conditioned.
+    b = state.bandwidth
+    gram = kernel(pts[:, None], pts[None], b) + state.jitter * np.eye(5)
+    mu = vals.mean()
+    offsets = 5e-3 * np.eye(4)
+    cands = np.vstack([pt, pt + offsets, pt - offsets,
+                       sample_box(np.random.default_rng(14), 4)])
+    for i, cand in enumerate(cands):
+        kv = kernel(pts, cand, b)
+        want_var = kernel(cand, cand, b) - kv @ np.linalg.solve(gram, kv)
+        mean, var = state.posterior(cand)
+        assert var == pytest.approx(want_var, rel=1e-8)
+        if i > 0:
+            want_mean = mu + kv @ np.linalg.solve(gram, vals - mu)
+            assert mean == pytest.approx(want_mean, abs=1e-8)
+
+
+def test_fit_gp_nonfinite_gram_raises_numerical_error():
+    # |B| underflows to 0, so the kernel peak is inf and no jitter can help.
+    pts = sample_box(np.random.default_rng(16), 3)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        fit_gp(pts, [0.1, 0.2, 0.3], bandwidth=np.full(4, 1e-300))
+
+
+def assert_stack_matches_single_calls(state, stack, best):
+    means, variances = state.posterior(stack)
+    eis = expected_improvement(state, stack, best)
+    assert means.shape == variances.shape == eis.shape == (len(stack),)
+    for c, m, v, e in zip(stack, means, variances, eis):
+        mean, var = state.posterior(c)
+        ei = expected_improvement(state, c, best)
+        assert type(mean) is float and type(var) is float and type(ei) is float
+        assert abs(mean - m) <= 1e-15 and abs(var - v) <= 1e-15
+        assert abs(ei - e) <= 1e-15
+    return eis
+
+
+def test_posterior_and_ei_stack_match_single_calls():
+    rng = np.random.default_rng(15)
+    for n in (1, 6, 17):
+        state = random_state(rng, n=n)
+        assert_stack_matches_single_calls(state, sample_box(rng, 40),
+                                          float(state.values.min()))
+    # With jitter 0 an observed point has zero variance and exactly zero EI.
+    state = GPState(points=np.zeros((1, 4)), values=np.array([0.1]),
+                    bandwidth=np.ones(4), mean_level=0.1, jitter=0.0)
+    stack = np.vstack([np.zeros(4), np.full(4, 0.5), sample_box(rng, 8)])
+    eis = assert_stack_matches_single_calls(state, stack, 0.1)
+    assert eis[0] == 0.0 and eis[1] > 0.0
+    assert state.posterior(HyperParams(lam=0.0, margin=0.0, k=1, p=1)) == \
+        state.posterior(np.array([0.0, 0.0, 1.0, 1.0]))
+
+
+@st.composite
+def grid_observations(draw):
+    """1-10 points on a 3-level grid per coordinate, so duplicates are common."""
+    levels = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=1, max_size=10))
+    values = draw(st.lists(st.floats(0.0, 0.3), min_size=len(levels),
+                           max_size=len(levels)))
+    pts = BOX_LOW + np.array(levels) / 2.0 * (BOX_HIGH - BOX_LOW)
+    return pts, np.array(values)
+
+
+@given(grid_observations(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fit_and_propose_never_raise_on_grid_points(obs, seed):
+    pts, vals = obs
+    state = fit_gp(pts, vals)
+    rng = np.random.default_rng(seed)
+    w = propose(state, 32, rng)
+    v = hp_to_vector(w)
+    assert np.all(v >= BOX_LOW) and np.all(v <= BOX_HIGH)
+    cands = np.vstack([pts, sample_box(rng, 32)])
+    _, variances = state.posterior(cands)
+    eis = expected_improvement(state, cands, float(vals.min()))
+    assert np.all(variances >= 0.0)
+    assert np.all(np.isfinite(eis)) and np.all(eis >= 0.0)
 
 
 # --------------------------------------------------------------------- EI

@@ -116,6 +116,7 @@ def test_batch_hard_separable_reaches_zero_loss():
                     seed=0)
     assert res.report.rows[-1].mean_total <= res.report.rows[0].mean_total
     assert res.report.best_loss == min(r.mean_total for r in res.report.rows)
+    assert params_equal(res.best_params, res.final_params)
 
 
 def test_run_fixed_rejects_pla_and_unknown_modes():
@@ -149,6 +150,24 @@ def test_pla_report_structure_and_budget():
         chunk = exploit_rows[i:i + cfg.exploit_epochs]
         means.append(float(np.mean([r.mean_total for r in chunk])))
     assert rep.best_loss == pytest.approx(min(means), rel=1e-12)
+
+
+def test_pla_phase_starts_only_under_budget_and_is_never_cut():
+    x, y = small_data()
+    configs = [{}, dict(max_epochs=7), dict(max_epochs=20, exploit_epochs=5),
+               dict(max_epochs=16, initial_design=3)]
+    for policy in ("all", "stale"):
+        for over in configs:
+            cfg = small_pla(re_explore_policy=policy, **over)
+            rows = run_pla(x, y, cfg, MODEL, OptimizerConfig(), seed=2).report.rows
+            # the last phase is the trailing run of rows of one kind: an
+            # exploit phase, or a whole explore round over its candidates
+            kinds = [r.phase for r in rows]
+            last_len = len(kinds) - next(
+                (i for i in range(len(kinds), 0, -1) if kinds[i - 1] != kinds[-1]), 0)
+            if kinds[-1] == "exploit":
+                assert last_len == cfg.exploit_epochs
+            assert cfg.max_epochs <= len(rows) < cfg.max_epochs + last_len
 
 
 def test_pla_budget_exhaustion_returns_initialization():
