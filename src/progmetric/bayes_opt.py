@@ -29,7 +29,8 @@ class ConfigurationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Gram matrix remained ill-conditioned after jitter."""
+    """GP fit failed: a non-finite objective value, or a Gram matrix that
+    remained ill-conditioned after jitter."""
 
 
 class InvalidMeasurementError(ValueError):
@@ -159,12 +160,16 @@ def fit_gp(points, values, jitter=DEFAULT_JITTER, bandwidth=None):
 
     The constant mean is the running mean of the observed values; the
     bandwidth is re-estimated from the points unless given explicitly.
+    A non-finite value raises NumericalError naming its index.
     """
     x = np.vstack([hp_to_vector(p) if isinstance(p, HyperParams) else np.asarray(p, float)
                    for p in points])
     y = np.asarray(values, dtype=float)
     if len(x) != len(y) or len(y) < 1:
         raise ValueError("need equally many points and values, at least one each")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise NumericalError(f"non-finite objective value {y[bad[0]]} at index {bad[0]}")
     if bandwidth is None:
         bandwidth = estimate_bandwidth(x)
     return GPState(
@@ -199,6 +204,9 @@ def propose(state: GPState, pool_size, rng: np.random.Generator):
 
 def drop_rate_objective(first_half_mean, second_half_mean, expected_drop):
     """|relative loss drop - expected_drop|; 0 means perfectly healthy training."""
+    if not (np.isfinite(first_half_mean) and np.isfinite(second_half_mean)):
+        raise InvalidMeasurementError(
+            f"non-finite mean loss ({first_half_mean}, {second_half_mean})")
     if first_half_mean <= 0.0:
         raise InvalidMeasurementError("first-half mean loss must be positive")
     drop = (first_half_mean - second_half_mean) / first_half_mean

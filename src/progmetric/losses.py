@@ -113,23 +113,39 @@ def batch_hard_loss(embeddings, labels, margin):
     return float(np.maximum(margin + hardest_pos - nearest_neg, 0.0).sum())
 
 
+def _order_stat(key, col):
+    """Per row, the index of the col-th smallest entry of key.
+
+    Equal values rank in index order, as a stable sort would place them.
+    A value-only sort finds the col-th value; the row's first entry equal
+    to it is the answer unless smaller-index ties must be skipped, and only
+    those rows walk their equal entries.
+    """
+    rows = np.arange(len(key))
+    kth = np.sort(key, axis=1)[rows, col][:, None]
+    rank = col - np.count_nonzero(key < kth, axis=1)
+    eq = key == kth
+    idx = np.argmax(eq, axis=1)
+    walk = np.flatnonzero(rank > 0)
+    if walk.size:
+        idx[walk] = np.argmax(np.cumsum(eq[walk], axis=1) > rank[walk, None], axis=1)
+    return idx
+
+
 def gbh_select(dist, labels, k, p):
     """Indices of the k-th farthest positive and p-th nearest negative per anchor.
 
     k and p clamp to the available counts; order-statistic ties break toward
-    the lowest sample index (a stable sort keeps equal distances in index
-    order, and excluded entries sort last as +inf).
+    the lowest sample index, and excluded entries rank last as +inf.
     """
     if k < 1 or p < 1:
         raise InvalidInputError("k and p must be >= 1")
     pos_mask, neg_mask = _masks(labels)
     _check_triplet_batch(pos_mask, neg_mask)
-    rows = np.arange(len(dist))
-    far_pos = np.argsort(np.where(pos_mask, -dist, np.inf), axis=1, kind="stable")
-    near_neg = np.argsort(np.where(neg_mask, dist, np.inf), axis=1, kind="stable")
     k_col = np.minimum(k, pos_mask.sum(axis=1)) - 1
     p_col = np.minimum(p, neg_mask.sum(axis=1)) - 1
-    return far_pos[rows, k_col], near_neg[rows, p_col]
+    return (_order_stat(np.where(pos_mask, -dist, np.inf), k_col),
+            _order_stat(np.where(neg_mask, dist, np.inf), p_col))
 
 
 def gbh_terms(dist, labels, k, p):

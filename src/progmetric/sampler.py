@@ -28,6 +28,30 @@ class BatchSpec:
         return self.P * self.K
 
 
+def _identity_pools(labels, spec: BatchSpec):
+    """Each identity's sample indices in ascending order, identities sorted.
+
+    Raises InsufficientDataError when there are fewer identities than P.
+    """
+    _, inverse = np.unique(labels, return_inverse=True)
+    counts = np.bincount(inverse)
+    if len(counts) < spec.P:
+        raise InsufficientDataError(
+            f"need at least {spec.P} identities, dataset has {len(counts)}"
+        )
+    return np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+
+
+def _draw(pools, spec: BatchSpec, rng: np.random.Generator):
+    chosen = rng.choice(len(pools), size=spec.P, replace=False)
+    out = np.empty(spec.batch_size, dtype=int)
+    for i, j in enumerate(chosen):
+        pool = pools[j]
+        replace = len(pool) < spec.K
+        out[i * spec.K : (i + 1) * spec.K] = rng.choice(pool, size=spec.K, replace=replace)
+    return out
+
+
 def pk_sample(labels, spec: BatchSpec, rng: np.random.Generator):
     """Draw N = P*K sample indices: P identities, K samples each.
 
@@ -35,19 +59,7 @@ def pk_sample(labels, spec: BatchSpec, rng: np.random.Generator):
     samples are drawn without replacement when enough exist, otherwise
     with replacement.
     """
-    labels = np.asarray(labels)
-    ids = np.unique(labels)
-    if len(ids) < spec.P:
-        raise InsufficientDataError(
-            f"need at least {spec.P} identities, dataset has {len(ids)}"
-        )
-    chosen = rng.choice(ids, size=spec.P, replace=False)
-    out = np.empty(spec.batch_size, dtype=int)
-    for i, ident in enumerate(chosen):
-        pool = np.flatnonzero(labels == ident)
-        replace = len(pool) < spec.K
-        out[i * spec.K : (i + 1) * spec.K] = rng.choice(pool, size=spec.K, replace=replace)
-    return out
+    return _draw(_identity_pools(labels, spec), spec, rng)
 
 
 def batches_per_epoch(dataset_size, spec: BatchSpec):
@@ -56,15 +68,20 @@ def batches_per_epoch(dataset_size, spec: BatchSpec):
 
 
 class PKSampler:
-    """Stateful sampler owning its RNG; one instance per training run."""
+    """Stateful sampler owning its RNG; one instance per training run.
+
+    The identity pools are built (and the identity count checked) once, at
+    construction; each sample only draws from them.
+    """
 
     def __init__(self, labels, spec: BatchSpec, seed):
         self.labels = np.asarray(labels)
         self.spec = spec
         self.rng = np.random.default_rng(seed)
+        self._pools = _identity_pools(self.labels, spec)
 
     def sample(self):
-        return pk_sample(self.labels, self.spec, self.rng)
+        return _draw(self._pools, self.spec, self.rng)
 
     @property
     def batches_per_epoch(self):

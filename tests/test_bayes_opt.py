@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from progmetric import tuning
 from progmetric.bayes_opt import (
     BOX_HIGH,
     BOX_LOW,
@@ -193,6 +194,29 @@ def test_fit_gp_nonfinite_gram_raises_numerical_error():
         fit_gp(pts, [0.1, 0.2, 0.3], bandwidth=np.full(4, 1e-300))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_gp_rejects_nonfinite_values(bad):
+    pts = sample_box(np.random.default_rng(17), 5)
+    values = [0.1, 0.2, 0.2, bad, bad]
+    with pytest.raises(NumericalError, match="index 3"):
+        fit_gp(pts, values)
+
+
+def test_nan_objective_never_reaches_propose(monkeypatch):
+    # a NaN value makes every EI score NaN, and argmax would pick pool row 0
+    pts = sample_box(np.random.default_rng(18), 5)
+    with pytest.raises(NumericalError, match="index 1"):
+        fit_gp(pts, [0.1, np.nan, 0.2, 0.1, 0.3])
+
+    proposals = []
+    monkeypatch.setattr(tuning, "propose",
+                        lambda *args: proposals.append(args) or propose(*args))
+    values = iter([0.1, np.nan, 0.2, 0.1, 0.3])
+    with pytest.raises(NumericalError, match="index 1"):
+        tuning.run_tuning(0, rounds=3, n_initial=5, objective=lambda w: next(values))
+    assert proposals == []
+
+
 def assert_stack_matches_single_calls(state, stack, best):
     means, variances = state.posterior(stack)
     eis = expected_improvement(state, stack, best)
@@ -354,3 +378,10 @@ def test_drop_rate_objective_rejects_nonpositive():
         drop_rate_objective(0.0, 1.0, 0.15)
     with pytest.raises(InvalidMeasurementError):
         drop_rate_objective(-1.0, 1.0, 0.15)
+
+
+@pytest.mark.parametrize("means", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf),
+                                   (1.0, np.nan), (1.0, -np.inf)])
+def test_drop_rate_objective_rejects_nonfinite(means):
+    with pytest.raises(InvalidMeasurementError):
+        drop_rate_objective(*means, 0.15)

@@ -218,6 +218,49 @@ def test_gbh_select_matches_per_anchor_reference():
         assert np.array_equal(neg_idx, ref_neg)
 
 
+def test_gbh_select_all_coincident_points():
+    # every positive and every negative of every row is tied at distance 0,
+    # so each k/p must land on the (k-1)-th / (p-1)-th index in row order
+    labels = np.random.default_rng(23).permutation(np.repeat([7, 1000, 42, 3], 5))
+    d = pairwise_distances(np.zeros((len(labels), 3)))
+    assert not d.any()
+    for k in range(1, 9):
+        for p in range(1, 17):
+            pos_idx, neg_idx = losses.gbh_select(d, labels, k, p)
+            ref_pos, ref_neg = loop_select(d, labels, k, p)
+            assert np.array_equal(pos_idx, ref_pos)
+            assert np.array_equal(neg_idx, ref_neg)
+
+
+def test_gbh_select_matches_reference_on_desk_batches():
+    # real-valued batches shaped like the desk run: 16 ids x 8, dim 16
+    rng = np.random.default_rng(24)
+    for _ in range(100):
+        ids = rng.choice(1000, 16, replace=False)
+        labels = rng.permutation(np.repeat(ids, 8))
+        d = pairwise_distances(rng.normal(size=(len(labels), 16)))
+        k, p = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        pos_idx, neg_idx = losses.gbh_select(d, labels, k, p)
+        ref_pos, ref_neg = loop_select(d, labels, k, p)
+        assert np.array_equal(pos_idx, ref_pos)
+        assert np.array_equal(neg_idx, ref_neg)
+
+
+def test_gbh_terms_equal_reference_distance_differences():
+    rng = np.random.default_rng(25)
+    for i in range(100):
+        if i % 2:
+            x, labels = tie_heavy_batch(rng)
+        else:
+            x, labels = random_balanced_batch(rng, p=6, k=4, d=5)
+        d = pairwise_distances(x)
+        k, p = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        ref_pos, ref_neg = loop_select(d, labels, k, p)
+        rows = np.arange(len(d))
+        assert np.array_equal(gbh_terms(d, labels, k, p),
+                              d[rows, ref_pos] - d[rows, ref_neg])
+
+
 @pytest.mark.parametrize("outer", ["softplus", "hinge"])
 def test_triplet_grad_matches_per_anchor_reference(outer):
     rng = np.random.default_rng(22)

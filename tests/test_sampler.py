@@ -16,6 +16,24 @@ def make_labels(n_ids, per_id):
     return np.repeat(np.arange(n_ids), per_id)
 
 
+def shuffled_labels(seed):
+    """Non-contiguous ids in shuffled order; ids 7 and 42 hold fewer than K = 4."""
+    counts = {7: 2, 1000: 9, 42: 3, 5: 12, 311: 4, 64: 6}
+    labels = np.repeat(list(counts), list(counts.values()))
+    return np.random.default_rng(seed).permutation(labels)
+
+
+def loop_pk_sample(labels, spec, rng):
+    """Per-batch identity scan, the reference for pk_sample's RNG stream."""
+    chosen = rng.choice(np.unique(labels), size=spec.P, replace=False)
+    out = np.empty(spec.batch_size, dtype=int)
+    for i, ident in enumerate(chosen):
+        pool = np.flatnonzero(labels == ident)
+        out[i * spec.K : (i + 1) * spec.K] = rng.choice(pool, size=spec.K,
+                                                        replace=len(pool) < spec.K)
+    return out
+
+
 def test_reference_batch_shape():
     labels = make_labels(32, 8)
     idx = pk_sample(labels, BatchSpec(16, 8), np.random.default_rng(0))
@@ -44,6 +62,29 @@ def test_small_identity_forces_replacement():
 def test_too_few_identities():
     with pytest.raises(InsufficientDataError):
         pk_sample(make_labels(3, 4), BatchSpec(4, 2), np.random.default_rng(0))
+
+
+def test_sampler_too_few_identities_raises_at_construction():
+    with pytest.raises(InsufficientDataError):
+        PKSampler(make_labels(3, 4), BatchSpec(4, 2), seed=0)
+
+
+def test_pk_sample_matches_reference_draw_for_draw():
+    labels = shuffled_labels(3)
+    spec = BatchSpec(4, 4)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(500):
+        assert np.array_equal(pk_sample(labels, spec, rng),
+                              loop_pk_sample(labels, spec, ref_rng))
+
+
+def test_sampler_matches_pk_sample_draw_for_draw():
+    labels = shuffled_labels(4)
+    spec = BatchSpec(4, 4)
+    sampler = PKSampler(labels, spec, seed=17)
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        assert np.array_equal(sampler.sample(), pk_sample(labels, spec, rng))
 
 
 def test_spec_validation():
