@@ -162,16 +162,27 @@ def gbh_loss(embeddings, labels, w: HyperParams):
     return float(softplus(w.margin + t).sum())
 
 
+def cross_entropy_loss_grad(logits, class_ids):
+    """(mean negative log softmax probability of the true class, its
+    gradient with respect to the logits), from one shifted exp."""
+    logits = np.asarray(logits, dtype=float)
+    class_ids = np.asarray(class_ids, dtype=int)
+    n, c = logits.shape
+    if class_ids.min() < 0 or class_ids.max() >= c:
+        raise InvalidInputError("label outside [0, n_classes)")
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    value = float(np.mean((m + np.log(s))[:, 0] - logits[rows, class_ids]))
+    p = e / s
+    p[rows, class_ids] -= 1.0
+    return value, p / n
+
+
 def cross_entropy_loss(logits, labels):
     """Mean negative log softmax probability of the true class."""
-    logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    n, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
-        raise InvalidInputError("label outside [0, n_classes)")
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(n), labels]))
+    return cross_entropy_loss_grad(logits, labels)[0]
 
 
 def composite_loss(embeddings, labels, logits, class_ids, w: HyperParams):
@@ -185,19 +196,9 @@ def composite_loss(embeddings, labels, logits, class_ids, w: HyperParams):
     return LossBreakdown(softmax_term=ce, gbh_term=g, total=ce + w.lam * g)
 
 
-def softmax(logits):
-    logits = np.asarray(logits, dtype=float)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def cross_entropy_grad(logits, class_ids):
     """Gradient of cross_entropy_loss with respect to the logits."""
-    p = softmax(logits)
-    n = len(p)
-    p[np.arange(n), np.asarray(class_ids, dtype=int)] -= 1.0
-    return p / n
+    return cross_entropy_loss_grad(logits, class_ids)[1]
 
 
 def _triplet_grad(embeddings, labels, k, p, margin, outer):
@@ -251,8 +252,8 @@ def composite_loss_grad(embeddings, labels, logits, class_ids, w: HyperParams):
     scaled by lam, exactly zero at lam = 0); the logit gradient carries only
     the cross-entropy term.
     """
-    ce = cross_entropy_loss(logits, class_ids)
+    ce, g_logits = cross_entropy_loss_grad(logits, class_ids)
     g, g_emb = gbh_loss_grad(embeddings, labels, w)
     g_emb = w.lam * g_emb if w.lam != 0.0 else np.zeros_like(g_emb)
     breakdown = LossBreakdown(softmax_term=ce, gbh_term=g, total=ce + w.lam * g)
-    return breakdown, g_emb, cross_entropy_grad(logits, class_ids)
+    return breakdown, g_emb, g_logits

@@ -8,7 +8,7 @@ checked against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +38,17 @@ class ModelConfig:
             raise InvalidInputError("embed_dim must be even (two concatenated heads)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
+    """The model's weights, packed into one contiguous float64 vector.
+
+    `flat` holds every field's entries, row-major, in PARAM_FIELDS order;
+    the named fields are reshaped views into it, so an in-place write
+    through either shows in the other.  The constructor packs (copies) the
+    arrays it is given.  Fields cannot be rebound, which would detach them
+    from `flat`.  Gradients and Adam moments use the same layout.
+    """
+
     w_trunk: np.ndarray
     b_trunk: np.ndarray
     w_trip: np.ndarray
@@ -48,6 +57,23 @@ class ModelParams:
     b_soft: np.ndarray
     w_cls: np.ndarray
     b_cls: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    # (field name, slice of flat, shape) per field, in PARAM_FIELDS order
+    _layout: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(a, dtype=float) for a in self.arrays()]
+        layout, start = [], 0
+        for name, a in zip(PARAM_FIELDS, arrays):
+            layout.append((name, slice(start, start + a.size), a.shape))
+            start += a.size
+        self._bind(np.concatenate([a.ravel() for a in arrays]), tuple(layout))
+
+    def _bind(self, flat, layout):
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "_layout", layout)
+        for name, part, shape in layout:
+            object.__setattr__(self, name, flat[part].reshape(shape))
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator):
@@ -79,11 +105,17 @@ class ModelParams:
     def arrays(self):
         return [getattr(self, name) for name in PARAM_FIELDS]
 
+    def like(self, flat):
+        """Params of this layout whose fields view `flat` (not copied)."""
+        out = object.__new__(ModelParams)
+        out._bind(flat, self._layout)
+        return out
+
     def copy(self):
-        return ModelParams(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
+        return self.like(self.flat.copy())
 
     def all_finite(self):
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
+        return bool(np.isfinite(self.flat).all())
 
 
 def forward(params: ModelParams, features):
@@ -114,20 +146,17 @@ def backward(params: ModelParams, cache, d_emb, d_logits):
     half = params.w_trip.shape[1]
     d_zt = d_emb[:, :half]
     d_zs = d_emb[:, half:] + d_logits @ params.w_cls.T
-    grads = ModelParams(
-        w_trunk=None, b_trunk=None, w_trip=None, b_trip=None,
-        w_soft=None, b_soft=None, w_cls=None, b_cls=None,
-    )
-    grads.w_cls = z_soft.T @ d_logits
-    grads.b_cls = d_logits.sum(axis=0)
-    grads.w_trip = h.T @ d_zt
-    grads.b_trip = d_zt.sum(axis=0)
-    grads.w_soft = h.T @ d_zs
-    grads.b_soft = d_zs.sum(axis=0)
+    grads = params.like(np.empty_like(params.flat))
+    np.matmul(z_soft.T, d_logits, out=grads.w_cls)
+    d_logits.sum(axis=0, out=grads.b_cls)
+    np.matmul(h.T, d_zt, out=grads.w_trip)
+    d_zt.sum(axis=0, out=grads.b_trip)
+    np.matmul(h.T, d_zs, out=grads.w_soft)
+    d_zs.sum(axis=0, out=grads.b_soft)
     d_h = d_zt @ params.w_trip.T + d_zs @ params.w_soft.T
     d_hpre = d_h * (h_pre > 0.0)
-    grads.w_trunk = x.T @ d_hpre
-    grads.b_trunk = d_hpre.sum(axis=0)
+    np.matmul(x.T, d_hpre, out=grads.w_trunk)
+    d_hpre.sum(axis=0, out=grads.b_trunk)
     return grads
 
 
@@ -171,37 +200,33 @@ def beta1_schedule(epoch, cfg: OptimizerConfig):
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """First and second moments, each in the layout of the model's params."""
+
+    m: ModelParams
+    v: ModelParams
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params: ModelParams):
-        return cls(
-            m=[np.zeros_like(a) for a in params.arrays()],
-            v=[np.zeros_like(a) for a in params.arrays()],
-        )
+        return cls(m=params.like(np.zeros_like(params.flat)),
+                   v=params.like(np.zeros_like(params.flat)))
 
     def copy(self):
-        return AdamState(m=[a.copy() for a in self.m], v=[a.copy() for a in self.v],
-                         step=self.step)
+        return AdamState(m=self.m.copy(), v=self.v.copy(), step=self.step)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               lr, beta1, cfg: OptimizerConfig):
-    """One bias-corrected adaptive-moment update, in place."""
-    garrs = grads.arrays()
-    for g in garrs:
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError("non-finite gradient encountered")
+    """One bias-corrected adaptive-moment update of every weight, in place."""
+    if not grads.all_finite():
+        raise NonFiniteGradientError("non-finite gradient encountered")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    for name, g, m, v in zip(PARAM_FIELDS, garrs, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
-        getattr(params, name)[...] -= update
+    g, w, m, v = grads.flat, params.flat, state.m.flat, state.v.flat
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    w -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)

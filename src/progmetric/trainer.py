@@ -28,7 +28,6 @@ from .model import (
     ModelConfig,
     ModelParams,
     OptimizerConfig,
-    PARAM_FIELDS,
     adam_step,
     backward,
     beta1_schedule,
@@ -90,16 +89,16 @@ class Checkpoint:
 def save_checkpoint(path, ckpt: Checkpoint):
     """Flat binary layout: magic, int64 dims/counters, float64-LE blocks.
 
-    Blocks appear as all weight arrays (row-major, fixed field order),
-    then the first-moment arrays, then the second-moment arrays.
+    Three blocks follow: the weights' flat vector (each field row-major,
+    in PARAM_FIELDS order), then the first moments', then the second's.
     """
     cfg = ckpt.params.config
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<6q", cfg.d_in, cfg.hidden, cfg.embed_dim,
                              cfg.n_classes, ckpt.adam.step, ckpt.epoch))
-        for block in ckpt.params.arrays() + ckpt.adam.m + ckpt.adam.v:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        for block in (ckpt.params.flat, ckpt.adam.m.flat, ckpt.adam.v.flat):
+            fh.write(block.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path):
@@ -112,20 +111,16 @@ def load_checkpoint(path):
         cfg = ModelConfig(d_in=d_in, hidden=hidden, embed_dim=embed_dim,
                           n_classes=n_classes)
         template = ModelParams.init(cfg, np.random.default_rng(0))
+        size = template.flat.size
 
-        def read_like(arr):
-            buf = fh.read(arr.size * 8)
-            if len(buf) != arr.size * 8:
+        def read_block():
+            buf = fh.read(size * 8)
+            if len(buf) != size * 8:
                 raise ValueError(f"{path}: truncated checkpoint")
-            return np.frombuffer(buf, dtype="<f8").astype(float).reshape(arr.shape)
+            return template.like(np.frombuffer(buf, dtype="<f8").astype(float))
 
-        params = ModelParams(**{name: read_like(getattr(template, name))
-                                for name in PARAM_FIELDS})
-        adam = AdamState(
-            m=[read_like(a) for a in params.arrays()],
-            v=[read_like(a) for a in params.arrays()],
-            step=step,
-        )
+        params = read_block()
+        adam = AdamState(m=read_block(), v=read_block(), step=step)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint")
     return Checkpoint(params=params, adam=adam, epoch=epoch)
@@ -197,10 +192,9 @@ def batch_loss_and_grads(mode, emb, logits, batch_labels, class_ids, w: HyperPar
         d_emb = np.zeros_like(emb)
         d_emb[:, :half] = d_trip
     elif mode == "ce_only":
-        ce = losses.cross_entropy_loss(logits, class_ids)
+        ce, d_logits = losses.cross_entropy_loss_grad(logits, class_ids)
         breakdown = LossBreakdown(softmax_term=ce, gbh_term=0.0, total=ce)
         d_emb = np.zeros_like(emb)
-        d_logits = losses.cross_entropy_grad(logits, class_ids)
     elif mode == "triplet_only":
         value, d_emb = losses.gbh_loss_grad(emb, batch_labels, w)
         breakdown = LossBreakdown(softmax_term=0.0, gbh_term=value, total=value)

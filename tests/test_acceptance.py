@@ -263,8 +263,10 @@ def test_criterion_6_restoration_and_reproducibility():
         all(np.array_equal(a, b) for a, b in
             zip(run.params.arrays(), before.params.arrays()))
         and run.adam.step == before.adam.step
-        and all(np.array_equal(a, b) for a, b in zip(run.adam.m, before.adam.m))
-        and all(np.array_equal(a, b) for a, b in zip(run.adam.v, before.adam.v)))
+        and all(np.array_equal(a, b) for a, b in
+                zip(run.adam.m.arrays(), before.adam.m.arrays()))
+        and all(np.array_equal(a, b) for a, b in
+                zip(run.adam.v.arrays(), before.adam.v.arrays())))
 
     a = run_pla(ds.features, ds.labels, pla, model_cfg, OptimizerConfig(), seed=1)
     b = run_pla(ds.features, ds.labels, pla, model_cfg, OptimizerConfig(), seed=1)

@@ -15,7 +15,9 @@ from progmetric.losses import (
     batch_hard_loss,
     composite_loss,
     composite_loss_grad,
+    cross_entropy_grad,
     cross_entropy_loss,
+    cross_entropy_loss_grad,
     gbh_loss,
     gbh_loss_grad,
     gbh_terms,
@@ -327,6 +329,43 @@ def test_cross_entropy_matches_logsumexp_oracle():
 def test_cross_entropy_rejects_bad_label():
     with pytest.raises(InvalidInputError):
         cross_entropy_loss(np.zeros((2, 3)), [0, 3])
+    with pytest.raises(InvalidInputError):
+        cross_entropy_grad(np.zeros((2, 3)), [-1, 0])
+
+
+def loop_cross_entropy_loss(logits, labels):
+    """Two-pass cross-entropy value (its own shifted exp), the reference for
+    the one-pass cross_entropy_loss_grad."""
+    n = len(logits)
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    return float(np.mean(lse - logits[np.arange(n), labels]))
+
+
+def loop_cross_entropy_grad(logits, labels):
+    """Two-pass cross-entropy gradient via a separate softmax."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    n = len(p)
+    p[np.arange(n), labels] -= 1.0
+    return p / n
+
+
+def test_cross_entropy_loss_grad_matches_two_pass_reference():
+    rng = np.random.default_rng(21)
+    batches = [(rng.normal(size=(128, 64), scale=s), rng.integers(0, 64, 128))
+               for s in (0.1, 1.0, 30.0)]
+    # repeated class ids and a saturated row
+    logits = rng.normal(size=(6, 4))
+    logits[2, 1] = 1e4
+    batches.append((logits, np.array([1, 1, 1, 3, 0, 1])))
+    for logits, ids in batches:
+        value, grad = cross_entropy_loss_grad(logits, ids)
+        assert value == loop_cross_entropy_loss(logits, ids)
+        assert np.array_equal(grad, loop_cross_entropy_grad(logits, ids))
+        assert cross_entropy_loss(logits, ids) == value
+        assert np.array_equal(cross_entropy_grad(logits, ids), grad)
 
 
 # -------------------------------------------------------------- composite
@@ -471,3 +510,33 @@ def test_hyperparams_box_validation():
         HyperParams(lam=1.0, margin=0.0, k=0, p=1)
     with pytest.raises(InvalidInputError):
         HyperParams(lam=1.0, margin=0.0, k=1, p=17)
+
+
+ID_VALUES = (7, 1000, 42, 3, 311, 64)
+
+
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=40),
+       st.integers(0, 2**32 - 1), st.booleans(),
+       st.integers(1, 8), st.integers(1, 16))
+@settings(max_examples=150, deadline=None)
+def test_triplet_grads_on_arbitrary_label_vectors(draws, seed, ties, k, p):
+    labels = np.array([ID_VALUES[d] for d in draws])
+    counts = np.unique(labels, return_counts=True)[1]
+    degenerate = len(counts) == 1 or (counts == 1).any()
+    rng = np.random.default_rng(seed)
+    shape = (len(labels), 3)
+    x = (rng.integers(-1, 2, size=shape).astype(float) if ties
+         else rng.normal(size=shape))
+    w = HyperParams(lam=1.0, margin=0.1, k=k, p=p)
+    for fn, arg in ((gbh_loss_grad, w), (batch_hard_grad, 0.2)):
+        if degenerate:
+            with pytest.raises(DegenerateBatchError):
+                fn(x, labels, arg)
+        else:
+            value, grad = fn(x, labels, arg)
+            assert np.isfinite(value) and np.isfinite(grad).all()
+        for bad in (np.nan, np.inf, -np.inf):
+            xb = x.copy()
+            xb[rng.integers(len(labels)), rng.integers(3)] = bad
+            with pytest.raises(InvalidInputError):
+                fn(xb, labels, arg)

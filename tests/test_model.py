@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from progmetric.losses import (
     composite_loss_grad,
 )
 from progmetric.model import (
+    PARAM_FIELDS,
     AdamState,
     ModelConfig,
     ModelParams,
@@ -20,6 +23,7 @@ from progmetric.model import (
     forward_with_cache,
     lr_schedule,
 )
+from progmetric.trainer import batch_loss_and_grads
 
 TINY = ModelConfig(d_in=3, hidden=5, embed_dim=4, n_classes=3)
 
@@ -169,8 +173,8 @@ def test_adam_state_copy_is_deep():
     state = AdamState.zeros_like(params)
     adam_step(params, grads_like(params, 1.0), state, 1e-3, 0.9, OptimizerConfig())
     dup = state.copy()
-    dup.m[0][0, 0] += 1.0
-    assert state.m[0][0, 0] != dup.m[0][0, 0]
+    dup.m.w_trunk[0, 0] += 1.0
+    assert state.m.w_trunk[0, 0] != dup.m.w_trunk[0, 0]
     assert dup.step == state.step
 
 
@@ -243,3 +247,143 @@ def test_params_copy_and_config_roundtrip():
     assert params.w_trunk[0, 0] != dup.w_trunk[0, 0]
     assert params.config == TINY
     assert params.all_finite()
+
+
+def test_params_fields_are_views_of_flat():
+    params = tiny_model(14)
+    with pytest.raises(FrozenInstanceError):
+        params.w_soft = np.zeros_like(params.w_soft)
+    _, _, cache = forward_with_cache(params, np.ones((4, 3)))
+    grads = backward(params, cache, np.ones((4, 4)), np.ones((4, 3)))
+    for p in (params, params.copy(), grads):
+        assert p.flat.shape == (sum(a.size for a in p.arrays()),)
+        assert all(np.shares_memory(a, p.flat) for a in p.arrays())
+        p.b_cls[1] = 7.0
+        assert p.flat[-2] == 7.0
+        p.flat[0] = -3.0
+        assert p.w_trunk[0, 0] == -3.0
+        assert np.array_equal(p.flat, np.concatenate([a.ravel() for a in p.arrays()]))
+
+
+def test_params_copy_shares_no_memory():
+    params = tiny_model(15)
+    dup = params.copy()
+    assert not np.shares_memory(dup.flat, params.flat)
+    assert not any(np.shares_memory(a, b) for a, b in
+                   zip(dup.arrays(), params.arrays()))
+    assert np.array_equal(dup.flat, params.flat)
+
+
+def test_params_constructor_packs_given_arrays():
+    src = tiny_model(16)
+    arrays = {name: getattr(src, name).copy() for name in PARAM_FIELDS}
+    packed = ModelParams(**arrays)
+    assert np.array_equal(packed.flat, src.flat)
+    arrays["w_trunk"][0, 0] += 1.0
+    assert packed.w_trunk[0, 0] == src.w_trunk[0, 0]
+
+
+# ------------------------------------- per-array references of the flat paths
+
+def loop_adam_step(params, grads, m_list, v_list, step, lr, beta1, cfg):
+    """Per-array Adam update (one array at a time), the reference for the
+    single flat-vector step; works on lists of arrays and returns the step."""
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError("non-finite gradient encountered")
+    step += 1
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - cfg.beta2**step
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        p[...] -= update
+    return step
+
+
+def loop_backward(params, cache, d_emb, d_logits):
+    """Per-field backward pass (each gradient its own array), the reference
+    for the one-buffer backward; returns arrays in PARAM_FIELDS order."""
+    x, h_pre, h, z_soft = cache
+    half = params.w_trip.shape[1]
+    d_zt = d_emb[:, :half]
+    d_zs = d_emb[:, half:] + d_logits @ params.w_cls.T
+    grads = {}
+    grads["w_cls"] = z_soft.T @ d_logits
+    grads["b_cls"] = d_logits.sum(axis=0)
+    grads["w_trip"] = h.T @ d_zt
+    grads["b_trip"] = d_zt.sum(axis=0)
+    grads["w_soft"] = h.T @ d_zs
+    grads["b_soft"] = d_zs.sum(axis=0)
+    d_h = d_zt @ params.w_trip.T + d_zs @ params.w_soft.T
+    d_hpre = d_h * (h_pre > 0.0)
+    grads["w_trunk"] = x.T @ d_hpre
+    grads["b_trunk"] = d_hpre.sum(axis=0)
+    return [grads[name] for name in PARAM_FIELDS]
+
+
+def all_equal(xs, ys):
+    return all(np.array_equal(x, y) for x, y in zip(xs, ys, strict=True))
+
+
+def test_adam_step_matches_per_array_reference():
+    # 50 steps over epochs 0..49 cross both the beta1 switch and the decay
+    cfg = OptimizerConfig(alpha0=1e-2, e0=10, e1=40, beta1_switch_epoch=20)
+    params = tiny_model(17)
+    state = AdamState.zeros_like(params)
+    ref_p = [a.copy() for a in params.arrays()]
+    ref_m = [np.zeros_like(a) for a in ref_p]
+    ref_v = [np.zeros_like(a) for a in ref_p]
+    ref_step = 0
+    rng = np.random.default_rng(18)
+    for epoch in range(50):
+        lr, beta1 = lr_schedule(epoch, cfg), beta1_schedule(epoch, cfg)
+        grads = grads_like(params, 0.0)
+        grads.flat[:] = rng.normal(size=grads.flat.size) * rng.uniform(0.01, 10.0)
+        adam_step(params, grads, state, lr, beta1, cfg)
+        ref_step = loop_adam_step(ref_p, [a.copy() for a in grads.arrays()],
+                                  ref_m, ref_v, ref_step, lr, beta1, cfg)
+        assert state.step == ref_step
+        assert all_equal(params.arrays(), ref_p)
+        assert all_equal(state.m.arrays(), ref_m)
+        assert all_equal(state.v.arrays(), ref_v)
+    assert lr_schedule(49, cfg) < cfg.alpha0 and beta1_schedule(49, cfg) == 0.5
+
+
+@pytest.mark.parametrize("field", PARAM_FIELDS)
+def test_adam_nonfinite_gradient_changes_nothing(field):
+    cfg = OptimizerConfig()
+    params = tiny_model(19)
+    state = AdamState.zeros_like(params)
+    for _ in range(3):
+        adam_step(params, grads_like(params, 0.5), state, 1e-2, 0.9, cfg)
+    before_p, before_state = params.copy(), state.copy()
+    grads = grads_like(params, 0.5)
+    getattr(grads, field).flat[-1] = np.nan
+    with pytest.raises(NonFiniteGradientError):
+        adam_step(params, grads, state, 1e-2, 0.9, cfg)
+    assert np.array_equal(params.flat, before_p.flat)
+    assert np.array_equal(state.m.flat, before_state.m.flat)
+    assert np.array_equal(state.v.flat, before_state.v.flat)
+    assert state.step == before_state.step == 3
+
+
+@pytest.mark.parametrize("mode", ["composite_fixed", "ce_only", "triplet_only",
+                                  "batch_hard"])
+def test_backward_matches_per_field_reference(mode):
+    cfg = ModelConfig(d_in=6, hidden=9, embed_dim=8, n_classes=5)
+    rng = np.random.default_rng(20)
+    w = HyperParams(lam=0.8, margin=0.1, k=2, p=3)
+    labels = np.repeat([3, 11, 40, 7, 2], 4)
+    class_ids = np.searchsorted(np.unique(labels), labels)
+    for _ in range(20):
+        params = ModelParams.init(cfg, rng)
+        x = rng.normal(size=(len(labels), cfg.d_in), scale=2.0)
+        emb, logits, cache = forward_with_cache(params, x)
+        _, d_emb, d_logits = batch_loss_and_grads(mode, emb, logits, labels,
+                                                  class_ids, w)
+        grads = backward(params, cache, d_emb, d_logits)
+        assert all_equal(grads.arrays(), loop_backward(params, cache, d_emb, d_logits))

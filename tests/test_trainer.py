@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 
 from progmetric.losses import HyperParams
-from progmetric.model import ModelConfig, OptimizerConfig
+from progmetric.model import PARAM_FIELDS, ModelConfig, OptimizerConfig
 from progmetric.sampler import BatchSpec
 from progmetric.synthetic import SynthSpec, generate
 from progmetric.trainer import (
+    CHECKPOINT_MAGIC,
     Checkpoint,
     PlaConfig,
     TrainingRun,
@@ -48,8 +51,8 @@ def params_equal(a, b):
 
 def adam_equal(a, b):
     return (a.step == b.step
-            and all(np.array_equal(x, y) for x, y in zip(a.m, b.m))
-            and all(np.array_equal(x, y) for x, y in zip(a.v, b.v)))
+            and all(np.array_equal(x, y) for x, y in zip(a.m.arrays(), b.m.arrays()))
+            and all(np.array_equal(x, y) for x, y in zip(a.v.arrays(), b.v.arrays())))
 
 
 # -------------------------------------------------------------- restoration
@@ -208,6 +211,45 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert params_equal(back.params, ckpt.params)
     assert adam_equal(back.adam, ckpt.adam)
     assert back.epoch == ckpt.epoch
+
+
+def hand_checkpoint_bytes(cfg, step, epoch, blocks):
+    """Magic, the <6q header, then each block's fields as row-major <f8."""
+    out = CHECKPOINT_MAGIC + struct.pack("<6q", cfg.d_in, cfg.hidden, cfg.embed_dim,
+                                         cfg.n_classes, step, epoch)
+    for block in blocks:
+        for name in PARAM_FIELDS:
+            out += np.asarray(block[name], dtype="<f8").tobytes(order="C")
+    return out
+
+
+def test_checkpoint_bytes_match_hand_built_layout(tmp_path):
+    run = make_run(12)
+    run.train_epochs("composite_fixed", W, 2, phase="exploit", candidate=0)
+    ckpt = run.snapshot()
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, ckpt)
+    blocks = [{name: getattr(p, name) for name in PARAM_FIELDS}
+              for p in (ckpt.params, ckpt.adam.m, ckpt.adam.v)]
+    assert path.read_bytes() == hand_checkpoint_bytes(
+        run.model_cfg, ckpt.adam.step, ckpt.epoch, blocks)
+
+
+def test_hand_built_checkpoint_loads(tmp_path):
+    cfg = ModelConfig(d_in=5, hidden=7, embed_dim=6, n_classes=4)
+    shapes = {"w_trunk": (5, 7), "b_trunk": (7,), "w_trip": (7, 3), "b_trip": (3,),
+              "w_soft": (7, 3), "b_soft": (3,), "w_cls": (3, 4), "b_cls": (4,)}
+    rng = np.random.default_rng(13)
+    blocks = [{name: rng.normal(size=shapes[name]) for name in PARAM_FIELDS}
+              for _ in range(3)]
+    path = tmp_path / "hand.bin"
+    path.write_bytes(hand_checkpoint_bytes(cfg, 41, 17, blocks))
+    back = load_checkpoint(path)
+    assert back.params.config == cfg
+    assert (back.adam.step, back.epoch) == (41, 17)
+    for block, got in zip(blocks, (back.params, back.adam.m, back.adam.v)):
+        for name in PARAM_FIELDS:
+            assert np.array_equal(getattr(got, name), block[name])
 
 
 def test_checkpoint_bad_magic(tmp_path):
