@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .losses import HyperParams, K_RANGE, LAMBDA_RANGE, MARGIN_RANGE, P_RANGE
 
@@ -191,7 +191,8 @@ def expected_improvement(state: GPState, candidates, best_value):
     sigma = np.sqrt(var)
     flat = sigma <= 0.0
     z = (best_value - mean) / np.where(flat, 1.0, sigma)
-    ei = np.where(flat, 0.0, np.maximum(sigma * (z * norm.cdf(z) + norm.pdf(z)), 0.0))
+    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi)
+    ei = np.where(flat, 0.0, np.maximum(sigma * (z * ndtr(z) + pdf), 0.0))
     return float(ei) if ei.ndim == 0 else ei
 
 

@@ -9,6 +9,7 @@ failures, and 2 when training or tuning fails numerically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from . import synthetic
 from .bayes_opt import NumericalError
 from .config import ConfigError, RunConfig, load_config
 from .evaluation import evaluate, metrics_csv_lines, pca_apply, pca_reduce
-from .model import NonFiniteGradientError, forward
+from .losses import HyperParams
+from .model import AdamState, NonFiniteGradientError, forward
 from .trainer import (
     Checkpoint,
     TRAIN_MODES,
@@ -49,7 +51,6 @@ def _load_run_config(args) -> RunConfig:
 
 def cmd_gen_data(args):
     cfg = _load_run_config(args)
-    import dataclasses
     spec = dataclasses.replace(cfg.data, seed=cfg.seed)
     dataset = synthetic.generate(spec)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -68,7 +69,6 @@ def cmd_train(args):
     cfg = _load_run_config(args)
     dataset = synthetic.load(args.dataset)
     features, labels = synthetic.train_partition(dataset)
-    import dataclasses
     model_cfg = dataclasses.replace(cfg.model, d_in=features.shape[1])
     out = Path(cfg.out_dir)
     budget = args.epochs or cfg.epochs or cfg.pla.max_epochs
@@ -83,21 +83,16 @@ def cmd_train(args):
     if args.mode == "pla":
         _write_lines(out / "explorations.csv", report.exploration_csv_lines())
         _write_lines(out / "chosen.csv",
-                     ["round,lambda,margin,k,p"]
-                     + [f"{i + 1},{w.lam:.17g},{w.margin:.17g},{w.k},{w.p}"
+                     [f"round,{HyperParams.CSV_HEADER}"]
+                     + [f"{i + 1},{w.csv_fields()}"
                         for i, w in enumerate(report.chosen)])
     save_checkpoint(out / "checkpoint.bin",
                     Checkpoint.take(result.best_params,
-                                    _fresh_adam(result.best_params),
+                                    AdamState.zeros_like(result.best_params),
                                     report.total_epochs))
     print(f"mode={args.mode} epochs={report.total_epochs} "
           f"best_loss={report.best_loss:.6g} -> {out}")
     return 0
-
-
-def _fresh_adam(params):
-    from .model import AdamState
-    return AdamState.zeros_like(params)
 
 
 def cmd_eval(args):

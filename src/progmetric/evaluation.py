@@ -104,10 +104,9 @@ def pca_reduce(embeddings, target_dim) -> PcaResult:
     idx = np.argsort(eigvals)[::-1][:target_dim]
     comps = eigvecs[:, idx]
     vals = eigvals[idx]
-    for j in range(comps.shape[1]):
-        pivot = np.argmax(np.abs(comps[:, j]))
-        if comps[pivot, j] < 0:
-            comps[:, j] = -comps[:, j]
+    pivots = np.argmax(np.abs(comps), axis=0)
+    flip = comps[pivots, np.arange(target_dim)] < 0
+    comps[:, flip] = -comps[:, flip]
     return PcaResult(projected=xc @ comps, components=comps, mean=mean,
                      explained_variance=vals)
 

@@ -44,6 +44,12 @@ class HyperParams:
     k: int
     p: int
 
+    CSV_HEADER = "lambda,margin,k,p"
+
+    def csv_fields(self):
+        """The point as CSV fields under CSV_HEADER; floats at 17 digits."""
+        return f"{self.lam:.17g},{self.margin:.17g},{self.k},{self.p}"
+
     def __post_init__(self):
         if not LAMBDA_RANGE[0] <= self.lam <= LAMBDA_RANGE[1]:
             raise InvalidInputError(f"lam={self.lam} outside {LAMBDA_RANGE}")

@@ -53,8 +53,7 @@ class LabeledDataset:
     split_tags: list = field(default_factory=list)
 
     def rows(self, tag):
-        return np.array([i for i, t in enumerate(self.split_tags) if t == tag],
-                        dtype=int)
+        return np.flatnonzero(np.asarray(self.split_tags, dtype=object) == tag)
 
 
 def generate(spec: SynthSpec) -> LabeledDataset:

@@ -143,26 +143,26 @@ class EpochStats:
 class RunReport:
     """Everything a run produced, in epoch order."""
 
-    mode: str
-    config_summary: dict
-    rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list)  # the run's own epoch history
     explorations: list = field(default_factory=list)
     chosen: list = field(default_factory=list)
     best_loss: float = float("inf")
-    total_epochs: int = 0
+
+    @property
+    def total_epochs(self):
+        return len(self.rows)
 
     def epoch_csv_lines(self):
-        yield "phase,candidate,lambda,margin,k,p,lr,mean_ce,mean_gbh,mean_total"
+        yield f"phase,candidate,{HyperParams.CSV_HEADER},lr,mean_ce,mean_gbh,mean_total"
         for r in self.rows:
-            yield (f"{r.phase},{r.candidate},{r.w.lam:.17g},{r.w.margin:.17g},"
-                   f"{r.w.k},{r.w.p},{r.lr:.17g},{r.mean_ce:.17g},"
-                   f"{r.mean_gbh:.17g},{r.mean_total:.17g}")
+            yield (f"{r.phase},{r.candidate},{r.w.csv_fields()},{r.lr:.17g},"
+                   f"{r.mean_ce:.17g},{r.mean_gbh:.17g},{r.mean_total:.17g}")
 
     def exploration_csv_lines(self):
-        yield "round,candidate,lambda,margin,k,p,first_half_mean,second_half_mean,objective"
+        yield (f"round,candidate,{HyperParams.CSV_HEADER},"
+               "first_half_mean,second_half_mean,objective")
         for rnd, cand, rec in self.explorations:
-            w = rec.hyperparams
-            yield (f"{rnd},{cand},{w.lam:.17g},{w.margin:.17g},{w.k},{w.p},"
+            yield (f"{rnd},{cand},{rec.hyperparams.csv_fields()},"
                    f"{rec.mean_loss_first_half:.17g},"
                    f"{rec.mean_loss_second_half:.17g},"
                    f"{rec.objective_value:.17g}")
@@ -178,9 +178,14 @@ class RunResult:
     report: RunReport
 
 
-def batch_loss_and_grads(mode, emb, logits, batch_labels, class_ids, w: HyperParams):
-    """Loss breakdown and output-level gradients for one batch in a mode."""
-    if mode in ("pla", "composite_fixed"):
+def batch_loss_and_grads(mode, emb, logits, class_ids, w: HyperParams):
+    """Loss breakdown and output-level gradients for one batch in a mode.
+
+    class_ids are the dense class indices (logit columns); they also serve
+    as the triplet labels, since triplet selection only compares labels
+    for equality.
+    """
+    if mode == "composite_fixed":
         # Composite training mirrors the two-head split: the triplet term
         # sees only the triplet head's half of the embedding, cross-entropy
         # reaches the softmax head through the logits.  Single-loss modes
@@ -188,7 +193,7 @@ def batch_loss_and_grads(mode, emb, logits, batch_labels, class_ids, w: HyperPar
         half = emb.shape[1] // 2
         trip = emb[:, :half]
         breakdown, d_trip, d_logits = losses.composite_loss_grad(
-            trip, batch_labels, logits, class_ids, w)
+            trip, class_ids, logits, class_ids, w)
         d_emb = np.zeros_like(emb)
         d_emb[:, :half] = d_trip
     elif mode == "ce_only":
@@ -196,11 +201,11 @@ def batch_loss_and_grads(mode, emb, logits, batch_labels, class_ids, w: HyperPar
         breakdown = LossBreakdown(softmax_term=ce, gbh_term=0.0, total=ce)
         d_emb = np.zeros_like(emb)
     elif mode == "triplet_only":
-        value, d_emb = losses.gbh_loss_grad(emb, batch_labels, w)
+        value, d_emb = losses.gbh_loss_grad(emb, class_ids, w)
         breakdown = LossBreakdown(softmax_term=0.0, gbh_term=value, total=value)
         d_logits = np.zeros_like(logits)
     elif mode == "batch_hard":
-        value, d_emb = losses.batch_hard_grad(emb, batch_labels, w.margin)
+        value, d_emb = losses.batch_hard_grad(emb, class_ids, w.margin)
         breakdown = LossBreakdown(softmax_term=0.0, gbh_term=value, total=value)
         d_logits = np.zeros_like(logits)
     else:
@@ -209,31 +214,35 @@ def batch_loss_and_grads(mode, emb, logits, batch_labels, class_ids, w: HyperPar
 
 
 class TrainingRun:
-    """Mutable training state: model, optimizer, sampler, epoch counter."""
+    """Mutable training state: model, optimizer, sampler, epoch history."""
 
     def __init__(self, features, labels, model_cfg: ModelConfig,
                  opt_cfg: OptimizerConfig, batch_spec: BatchSpec, seed):
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels)
-        self.classes = np.unique(self.labels)
+        classes, self.class_ids = np.unique(self.labels, return_inverse=True)
         self.model_cfg = ModelConfig(
             d_in=model_cfg.d_in, hidden=model_cfg.hidden,
-            embed_dim=model_cfg.embed_dim, n_classes=len(self.classes))
+            embed_dim=model_cfg.embed_dim, n_classes=len(classes))
         rng = np.random.default_rng(seed)
         self.params = ModelParams.init(self.model_cfg, rng)
         self.adam = AdamState.zeros_like(self.params)
         self.sampler = PKSampler(self.labels, batch_spec, rng.integers(2**63))
         self.opt_cfg = opt_cfg
-        self.epoch = 0  # global epoch counter; never rewound by restoration
+        self.rows = []  # one EpochStats per trained epoch; never rewound
 
-    def class_ids_for(self, labels):
-        """Dense class index (logit column) of each identity label."""
-        return np.searchsorted(self.classes, labels)
+    @property
+    def epoch(self):
+        """Global epoch counter: restoration does not rewind it."""
+        return len(self.rows)
 
-    def train_epochs(self, mode, w: HyperParams, n_epochs, phase, candidate,
-                     report: RunReport | None = None):
-        """Run n_epochs of mini-batch training; returns per-epoch stats."""
-        stats = []
+    def class_ids_for(self, idx):
+        """Dense class index (logit column) of each sample index."""
+        return self.class_ids[idx]
+
+    def train_epochs(self, mode, w: HyperParams, n_epochs, phase, candidate):
+        """Run n_epochs of mini-batch training; appends and returns their stats."""
+        start = len(self.rows)
         for _ in range(n_epochs):
             lr = lr_schedule(self.epoch, self.opt_cfg)
             beta1 = beta1_schedule(self.epoch, self.opt_cfg)
@@ -241,23 +250,17 @@ class TrainingRun:
             for _ in range(self.sampler.batches_per_epoch):
                 idx = self.sampler.sample()
                 x = self.features[idx]
-                batch_labels = self.labels[idx]
                 emb, logits, cache = forward_with_cache(self.params, x)
                 breakdown, d_emb, d_logits = batch_loss_and_grads(
-                    mode, emb, logits, batch_labels,
-                    self.class_ids_for(batch_labels), w)
+                    mode, emb, logits, self.class_ids_for(idx), w)
                 grads = backward(self.params, cache, d_emb, d_logits)
                 adam_step(self.params, grads, self.adam, lr, beta1, self.opt_cfg)
                 acc += (breakdown.softmax_term, breakdown.gbh_term, breakdown.total)
             acc /= self.sampler.batches_per_epoch
-            row = EpochStats(phase=phase, candidate=candidate, w=w, lr=lr,
-                             mean_ce=acc[0], mean_gbh=acc[1], mean_total=acc[2])
-            stats.append(row)
-            if report is not None:
-                report.rows.append(row)
-                report.total_epochs += 1
-            self.epoch += 1
-        return stats
+            self.rows.append(EpochStats(phase=phase, candidate=candidate, w=w, lr=lr,
+                                        mean_ce=acc[0], mean_gbh=acc[1],
+                                        mean_total=acc[2]))
+        return self.rows[start:]
 
     def snapshot(self):
         return Checkpoint.take(self.params, self.adam, self.epoch)
@@ -267,15 +270,14 @@ class TrainingRun:
         self.adam = ckpt.adam.copy()
 
 
-def explore(run: TrainingRun, w: HyperParams, cfg: PlaConfig, candidate,
-            report: RunReport | None = None):
+def explore(run: TrainingRun, w: HyperParams, cfg: PlaConfig, candidate):
     """Short trial training under w; the model is rolled back afterward.
 
     Scores |relative drop of the mean loss between the two halves - ED|.
     """
     ckpt = run.snapshot()
     stats = run.train_epochs("composite_fixed", w, cfg.explore_epochs,
-                             phase="explore", candidate=candidate, report=report)
+                             phase="explore", candidate=candidate)
     totals = [s.mean_total for s in stats]
     half = cfg.objective_split
     first = float(np.mean(totals[:half]))
@@ -299,12 +301,9 @@ def run_fixed(features, labels, mode, w: HyperParams, n_epochs,
     if mode == "ce_only":
         w = HyperParams(lam=0.0, margin=w.margin, k=w.k, p=w.p)
     run = TrainingRun(features, labels, model_cfg, opt_cfg, batch_spec, seed)
-    report = RunReport(mode=mode, config_summary={
-        "mode": mode, "epochs": n_epochs, "seed": seed,
-        "lambda": w.lam, "margin": w.margin, "k": w.k, "p": w.p})
-    stats = run.train_epochs(mode, w, n_epochs, phase="train", candidate=0,
-                             report=report)
-    report.best_loss = min((s.mean_total for s in stats), default=float("inf"))
+    stats = run.train_epochs(mode, w, n_epochs, phase="train", candidate=0)
+    report = RunReport(rows=run.rows, best_loss=min(
+        (s.mean_total for s in stats), default=float("inf")))
     return RunResult(best_params=run.params.copy(), final_params=run.params,
                      report=report)
 
@@ -316,21 +315,12 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
     Repeats {explore each candidate per policy; fit GP; propose a new
     candidate; train exploit_epochs under it; track the model with the
     lowest exploitation-phase mean loss} until the epoch budget is spent.
-    A phase starts only while total_epochs < max_epochs and is never cut.
+    A phase starts only while run.epoch < max_epochs and is never cut.
     """
     run = TrainingRun(features, labels, model_cfg, opt_cfg,
                       pla_cfg.batch_spec, seed)
     bo_rng = np.random.default_rng(np.random.default_rng(seed).integers(2**63) ^ 0x5EED)
-    report = RunReport(mode="pla", config_summary={
-        "mode": "pla", "seed": seed,
-        "max_epochs": pla_cfg.max_epochs,
-        "initial_design": pla_cfg.initial_design,
-        "explore_epochs": pla_cfg.explore_epochs,
-        "exploit_epochs": pla_cfg.exploit_epochs,
-        "expected_drop": pla_cfg.expected_drop,
-        "pool_size": pla_cfg.pool_size,
-        "re_explore_policy": pla_cfg.re_explore_policy,
-    })
+    report = RunReport(rows=run.rows)
     candidates = list(initial_design(bo_rng, pla_cfg.initial_design))
     objectives = [None] * len(candidates)
     best_params = run.params.copy()
@@ -341,24 +331,23 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
         for i, w in enumerate(candidates):
             if pla_cfg.re_explore_policy == "stale" and objectives[i] is not None:
                 continue
-            rec = explore(run, w, pla_cfg, candidate=i, report=report)
+            rec = explore(run, w, pla_cfg, candidate=i)
             objectives[i] = rec.objective_value
             report.explorations.append((round_idx, i, rec))
-        if report.total_epochs >= pla_cfg.max_epochs:
+        if run.epoch >= pla_cfg.max_epochs:
             break
         gp = fit_gp(candidates, objectives)
         w_new = propose(gp, pla_cfg.pool_size, bo_rng)
         candidates.append(w_new)
         objectives.append(None)
         report.chosen.append(w_new)
-        stats = run.train_epochs("pla", w_new, pla_cfg.exploit_epochs,
-                                 phase="exploit", candidate=len(candidates) - 1,
-                                 report=report)
+        stats = run.train_epochs("composite_fixed", w_new, pla_cfg.exploit_epochs,
+                                 phase="exploit", candidate=len(candidates) - 1)
         phase_mean = float(np.mean([s.mean_total for s in stats]))
         if phase_mean < best_loss:
             best_loss = phase_mean
             best_params = run.params.copy()
-        if report.total_epochs >= pla_cfg.max_epochs:
+        if run.epoch >= pla_cfg.max_epochs:
             break
     report.best_loss = best_loss
     return RunResult(best_params=best_params, final_params=run.params,

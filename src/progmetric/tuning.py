@@ -61,8 +61,7 @@ def run_tuning(seed, rounds=30, pool_size=256, n_initial=8,
 
 
 def trace_csv_lines(trace):
-    yield "index,phase,lambda,margin,k,p,value,best_so_far"
+    yield f"index,phase,{HyperParams.CSV_HEADER},value,best_so_far"
     for t in trace:
-        w = t.hyperparams
-        yield (f"{t.index},{t.phase},{w.lam:.17g},{w.margin:.17g},{w.k},{w.p},"
+        yield (f"{t.index},{t.phase},{t.hyperparams.csv_fields()},"
                f"{t.value:.17g},{t.best_so_far:.17g}")

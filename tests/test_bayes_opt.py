@@ -274,6 +274,26 @@ def test_fit_and_propose_never_raise_on_grid_points(obs, seed):
 
 # --------------------------------------------------------------------- EI
 
+def norm_reference_ei(state, candidates, best_value):
+    """Closed-form EI through scipy.stats.norm, kept as an independent oracle."""
+    mean, var = state.posterior(candidates)
+    sigma = np.sqrt(var)
+    flat = sigma <= 0.0
+    z = (best_value - mean) / np.where(flat, 1.0, sigma)
+    return np.where(flat, 0.0, np.maximum(sigma * (z * norm.cdf(z) + norm.pdf(z)), 0.0))
+
+
+def test_ei_matches_scipy_stats_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        state = random_state(rng, n=int(rng.integers(2, 12)))
+        # fresh pool points plus the observed points, where sigma is ~0
+        stack = np.vstack([sample_box(rng, 256), state.points])
+        best = float(state.values.min()) + rng.normal(scale=0.05)
+        assert np.array_equal(expected_improvement(state, stack, best),
+                              norm_reference_ei(state, stack, best))
+
+
 def test_ei_zero_variance():
     state = GPState(points=np.zeros((1, 4)), values=np.array([0.1]),
                     bandwidth=np.ones(4), mean_level=0.1, jitter=0.0)

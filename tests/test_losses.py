@@ -521,6 +521,9 @@ ID_VALUES = (7, 1000, 42, 3, 311, 64)
 @settings(max_examples=150, deadline=None)
 def test_triplet_grads_on_arbitrary_label_vectors(draws, seed, ties, k, p):
     labels = np.array([ID_VALUES[d] for d in draws])
+    # dense class ids select, score and differentiate bit for bit like the
+    # raw (shuffled, non-contiguous) ids: selection only tests equality
+    dense = np.unique(labels, return_inverse=True)[1]
     counts = np.unique(labels, return_counts=True)[1]
     degenerate = len(counts) == 1 or (counts == 1).any()
     rng = np.random.default_rng(seed)
@@ -528,13 +531,24 @@ def test_triplet_grads_on_arbitrary_label_vectors(draws, seed, ties, k, p):
     x = (rng.integers(-1, 2, size=shape).astype(float) if ties
          else rng.normal(size=shape))
     w = HyperParams(lam=1.0, margin=0.1, k=k, p=p)
+    d = pairwise_distances(x)
+    if degenerate:
+        with pytest.raises(DegenerateBatchError):
+            losses.gbh_select(d, dense, k, p)
+    else:
+        for a, b in zip(losses.gbh_select(d, labels, k, p),
+                        losses.gbh_select(d, dense, k, p)):
+            assert np.array_equal(a, b)
     for fn, arg in ((gbh_loss_grad, w), (batch_hard_grad, 0.2)):
         if degenerate:
-            with pytest.raises(DegenerateBatchError):
-                fn(x, labels, arg)
+            for y in (labels, dense):
+                with pytest.raises(DegenerateBatchError):
+                    fn(x, y, arg)
         else:
             value, grad = fn(x, labels, arg)
             assert np.isfinite(value) and np.isfinite(grad).all()
+            dense_value, dense_grad = fn(x, dense, arg)
+            assert dense_value == value and np.array_equal(dense_grad, grad)
         for bad in (np.nan, np.inf, -np.inf):
             xb = x.copy()
             xb[rng.integers(len(labels)), rng.integers(3)] = bad

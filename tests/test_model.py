@@ -383,7 +383,6 @@ def test_backward_matches_per_field_reference(mode):
         params = ModelParams.init(cfg, rng)
         x = rng.normal(size=(len(labels), cfg.d_in), scale=2.0)
         emb, logits, cache = forward_with_cache(params, x)
-        _, d_emb, d_logits = batch_loss_and_grads(mode, emb, logits, labels,
-                                                  class_ids, w)
+        _, d_emb, d_logits = batch_loss_and_grads(mode, emb, logits, class_ids, w)
         grads = backward(params, cache, d_emb, d_logits)
         assert all_equal(grads.arrays(), loop_backward(params, cache, d_emb, d_logits))

@@ -4,6 +4,7 @@ import pytest
 from progmetric.losses import HyperParams, InvalidInputError, batch_hard_loss
 from progmetric.sampler import BatchSpec, pk_sample
 from progmetric.synthetic import (
+    SPLIT_TAGS,
     LabeledDataset,
     ParseError,
     SynthSpec,
@@ -87,6 +88,14 @@ def test_split_counts_closed_set():
     assert len(out.rows("query")) == 20
     assert len(out.rows("gallery")) == 40
     assert len(out.rows("train")) == 0
+
+
+def test_rows_match_per_sample_scan():
+    ds = generate(clean_spec())
+    out = split(ds, 2, np.random.default_rng(4), open_set=True)
+    for tag in SPLIT_TAGS:
+        want = [i for i, t in enumerate(out.split_tags) if t == tag]
+        assert np.array_equal(out.rows(tag), np.array(want, dtype=int))
 
 
 def test_split_single_gallery_item():

@@ -12,6 +12,7 @@ from progmetric.trainer import (
     Checkpoint,
     PlaConfig,
     TrainingRun,
+    batch_loss_and_grads,
     explore,
     load_checkpoint,
     run_fixed,
@@ -130,6 +131,38 @@ def test_run_fixed_rejects_pla_and_unknown_modes():
         run_fixed(x, y, "banana", W, 2, MODEL, OptimizerConfig(), BATCH, seed=0)
     with pytest.raises(ValueError):
         make_run().train_epochs("composite", W, 1, phase="train", candidate=0)
+
+
+def test_pla_is_not_a_loss_mode():
+    emb, logits = np.zeros((4, 8)), np.zeros((4, 2))
+    with pytest.raises(ValueError):
+        batch_loss_and_grads("pla", emb, logits, np.array([0, 0, 1, 1]), W)
+
+
+def test_class_ids_for_matches_per_batch_searchsorted():
+    rng = np.random.default_rng(5)
+    x, y = small_data()
+    perm = rng.permutation(len(y))
+    ids = rng.permutation([907, 12, 55, 3, 4100, 61, 29, 800])
+    labels = ids[y][perm]  # shuffled, non-contiguous identity ids
+    run = TrainingRun(x[perm], labels, MODEL, OptimizerConfig(), BATCH, seed=0)
+    classes = np.unique(labels)
+    for _ in range(500):
+        idx = run.sampler.sample()
+        assert np.array_equal(run.class_ids_for(idx),
+                              np.searchsorted(classes, labels[idx]))
+
+
+def test_epoch_is_the_length_of_the_run_history():
+    run = make_run()
+    run.train_epochs("composite_fixed", W, 2, phase="exploit", candidate=0)
+    explore(run, W, small_pla(), candidate=1)
+    run.train_epochs("batch_hard", W, 1, phase="train", candidate=2)
+    explore(run, HyperParams(0.5, 0.1, 2, 3), small_pla(), candidate=3)
+    assert run.epoch == len(run.rows) == 7
+    assert [r.phase for r in run.rows] == (["exploit"] * 2 + ["explore"] * 2
+                                           + ["train"] + ["explore"] * 2)
+    assert run.snapshot().epoch == 7
 
 
 # ---------------------------------------------------------------- pla loop
