@@ -25,11 +25,77 @@ class RetrievalMetrics:
     excluded_queries: int
 
 
+# Bytes of one (query block x gallery) float64 array.  Ranking holds a few
+# such arrays at once, so evaluation memory grows with the gallery, not with
+# the number of queries.
+BLOCK_BYTES = 8 << 20
+
+
 def _cross_distances(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d2 = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * a @ b.T
-    return np.sqrt(np.maximum(d2, 0.0))
+    d2 = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :]
+    d2 -= 2.0 * a @ b.T
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2, out=d2)
+
+
+def _query_blocks(n_query, n_gallery):
+    """Slices of query rows ranked together, about BLOCK_BYTES of distances each.
+
+    No block has one row unless there is one query: numpy computes a one-row
+    product on its matrix-vector path, whose last bits differ from the same
+    row of the full product; blocks of two or more rows match it exactly.
+    """
+    height = max(2, BLOCK_BYTES // (8 * max(n_gallery, 1)))
+    starts = list(range(0, n_query, height))
+    if len(starts) > 1 and n_query - starts[-1] == 1:
+        starts.pop()
+    return [slice(s, e) for s, e in zip(starts, starts[1:] + [n_query])]
+
+
+def _count_sorted(ranked, rows, value, before):
+    """Per pair, how many entries e of ranked[rows] satisfy before(e, value).
+
+    The rows of ranked are sorted, so this is one binary search for all
+    pairs at once, one halving step per pass.
+    """
+    n = ranked.shape[1]
+    count = np.zeros(len(rows), dtype=np.intp)
+    step = 1 << n.bit_length()
+    while step := step >> 1:
+        cand = count + step
+        count += step * ((cand <= n)
+                         & before(ranked[rows, np.minimum(cand, n) - 1], value))
+    return count
+
+
+def _stable_ranks(dist, ranked, rows, cols):
+    """0-based rank of dist[rows, cols] in its row, ties broken by column.
+
+    That is its position in a stable argsort of the row: the count of
+    entries below it, found in the value-sorted row, plus the count of
+    equal entries at lower columns.  Only rows where a relevant distance
+    repeats need the second count; they read it off their own stable
+    argsort, which costs O(G log G) a row however many relevant items tie.
+    """
+    value = dist[rows, cols]
+    rank = _count_sorted(ranked, rows, value, np.less)
+    tied = np.flatnonzero(_count_sorted(ranked, rows, value, np.less_equal)
+                          - rank > 1)
+    if tied.size:
+        tied_rows, which = np.unique(rows[tied], return_inverse=True)
+        order = np.argsort(dist[tied_rows], axis=1, kind="stable")
+        position = np.empty_like(order)
+        np.put_along_axis(position, order, np.arange(order.shape[1]), axis=1)
+        rank[tied] = position[which, cols[tied]]
+    return rank
+
+
+def _check_finite(x, side):
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise InvalidInputError(f"{side} embedding row {bad[0]} is not finite")
 
 
 def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
@@ -37,36 +103,47 @@ def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
 
     AP uses precision-at-hit averaged over the relevant gallery items.
     Distance ties break by gallery index.  Queries whose label never occurs
-    in the gallery are excluded and tallied.
+    in the gallery are excluded and tallied.  Queries are ranked in blocks
+    (see BLOCK_BYTES), each from a value-only sort of its distance rows.
     """
     q = np.asarray(split.query_embeddings, dtype=float)
     g = np.asarray(split.gallery_embeddings, dtype=float)
     if q.shape[1] != g.shape[1]:
         raise InvalidInputError("query/gallery dimension mismatch")
+    _check_finite(q, "query")
+    _check_finite(g, "gallery")
     q_labels = np.asarray(split.query_labels)
     g_labels = np.asarray(split.gallery_labels)
-    dist = _cross_distances(q, g)
-    order = np.argsort(dist, axis=1, kind="stable")
+    if q_labels.shape != q.shape[:1] or g_labels.shape != g.shape[:1]:
+        raise InvalidInputError("each query and gallery row needs one label")
     n_gallery = g.shape[0]
-    cmc_sum = np.zeros(n_gallery)
-    aps = []
-    excluded = 0
-    for qi in range(len(q)):
-        hits = (g_labels[order[qi]] == q_labels[qi]).astype(float)
-        n_rel = hits.sum()
-        if n_rel == 0:
-            excluded += 1
-            continue
-        cum = hits.cumsum()
-        cmc_sum += cum >= 1.0
-        precision_at = cum / np.arange(1, n_gallery + 1)
-        aps.append(float((precision_at * hits).sum() / n_rel))
+    first_hits = np.zeros(n_gallery, dtype=np.int64)  # queries per first-hit rank
+    aps = [np.zeros(0)]  # per block, the APs of its queries with a match
+    for block in _query_blocks(len(q), n_gallery):
+        dist = _cross_distances(q[block], g)
+        ranked = np.sort(dist, axis=1)
+        if not np.isfinite(ranked[:, -1:]).all():
+            raise InvalidInputError("query/gallery distances overflow float64")
+        rows, cols = np.nonzero(q_labels[block, None] == g_labels[None, :])
+        # hits in (query, rank) order; i counts a query's hits from 1
+        rows, rank = np.divmod(
+            np.sort(rows * n_gallery + _stable_ranks(dist, ranked, rows, cols)),
+            n_gallery)
+        n_rel = np.bincount(rows, minlength=len(dist))
+        first = np.cumsum(n_rel) - n_rel
+        i = np.arange(1, len(rows) + 1) - first[rows]
+        valid = n_rel > 0
+        first_hits += np.bincount(rank[first[valid]], minlength=n_gallery)
+        precision = np.zeros(dist.shape)
+        precision[rows, rank] = i / (rank + 1)
+        aps.append(precision.sum(axis=1)[valid] / n_rel[valid])
+    aps = np.concatenate(aps)
     n_valid = len(aps)
     if n_valid == 0:
         raise InvalidInputError("no query has a gallery match")
-    cmc = cmc_sum / n_valid
-    return RetrievalMetrics(cmc=cmc, rank1=float(cmc[0]),
-                            map=float(np.mean(aps)), excluded_queries=excluded)
+    cmc = np.cumsum(first_hits) / n_valid
+    return RetrievalMetrics(cmc=cmc, rank1=float(cmc[0]), map=float(np.mean(aps)),
+                            excluded_queries=len(q) - n_valid)
 
 
 def metrics_csv_lines(metrics: RetrievalMetrics):

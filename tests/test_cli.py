@@ -8,6 +8,7 @@ from progmetric.bayes_opt import NumericalError
 from progmetric.cli import main
 from progmetric.config import config_from_dict, load_config, ConfigError
 from progmetric.model import NonFiniteGradientError
+from progmetric.trainer import load_checkpoint, save_checkpoint
 
 
 def write_config(tmp_path, **over):
@@ -203,6 +204,22 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(tmp_path / "no.bin"),
                  "--dataset", str(ds)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_nonfinite_weights_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    ds = gen_dataset(tmp_path, cfg)
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--mode", "ce_only"]) == 0
+    ckpt_path = tmp_path / "out" / "checkpoint.bin"
+    ckpt = load_checkpoint(ckpt_path)
+    ckpt.params.w_trunk[0, 0] = np.nan
+    save_checkpoint(ckpt_path, ckpt)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt_path),
+                 "--dataset", str(ds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: query embedding row 0 is not finite")
 
 
 # --------------------------------------------------------------- tune-demo

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from progmetric import evaluation
 from progmetric.evaluation import (
     PcaResult,
     QueryGallerySplit,
@@ -42,6 +44,51 @@ def retrieval_oracle(split):
     cmc = cmc_sum / len(aps)
     return RetrievalMetrics(cmc=cmc, rank1=float(cmc[0]),
                             map=float(np.mean(aps)), excluded_queries=excluded)
+
+
+def loop_evaluate(split):
+    """The per-query loop over a full-matrix stable argsort that blocked
+    ranking replaced; kept as a bit-exact reference."""
+    q = np.asarray(split.query_embeddings, dtype=float)
+    g = np.asarray(split.gallery_embeddings, dtype=float)
+    q_labels = np.asarray(split.query_labels)
+    g_labels = np.asarray(split.gallery_labels)
+    dist = evaluation._cross_distances(q, g)
+    order = np.argsort(dist, axis=1, kind="stable")
+    n_gallery = g.shape[0]
+    cmc_sum = np.zeros(n_gallery)
+    aps = []
+    excluded = 0
+    for qi in range(len(q)):
+        hits = (g_labels[order[qi]] == q_labels[qi]).astype(float)
+        n_rel = hits.sum()
+        if n_rel == 0:
+            excluded += 1
+            continue
+        cum = hits.cumsum()
+        cmc_sum += cum >= 1.0
+        precision_at = cum / np.arange(1, n_gallery + 1)
+        aps.append(float((precision_at * hits).sum() / n_rel))
+    cmc = cmc_sum / len(aps)
+    return RetrievalMetrics(cmc=cmc, rank1=float(cmc[0]),
+                            map=float(np.mean(aps)), excluded_queries=excluded)
+
+
+def assert_same_metrics(got, want):
+    assert np.array_equal(got.cmc, want.cmc)
+    assert got.rank1 == want.rank1
+    assert got.map == want.map
+    assert got.excluded_queries == want.excluded_queries
+
+
+def labelled_split(rng, q, g, n_ids):
+    return QueryGallerySplit(
+        query_embeddings=q, query_labels=rng.integers(0, n_ids, len(q)),
+        gallery_embeddings=g, gallery_labels=rng.integers(0, n_ids, len(g)))
+
+
+def has_match(split):
+    return bool(np.isin(split.query_labels, split.gallery_labels).any())
 
 
 # ----------------------------------------------------------------- evaluate
@@ -97,6 +144,146 @@ def test_matches_oracle_exhaustive_random_splits():
         assert got.excluded_queries == want.excluded_queries
 
 
+def test_matches_loop_reference_on_random_splits():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n_q, n_g = (int(n) for n in rng.integers(1, 60, 2))
+        d = int(rng.integers(1, 9))
+        split = labelled_split(rng, rng.normal(size=(n_q, d)),
+                               rng.normal(size=(n_g, d)), int(rng.integers(1, 6)))
+        if has_match(split):
+            assert_same_metrics(evaluate(split), loop_evaluate(split))
+
+
+def test_matches_loop_reference_on_integer_grid_ties():
+    # few distinct distances, so most relevant items tie with others
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n_q, n_g = (int(n) for n in rng.integers(1, 50, 2))
+        d = int(rng.integers(1, 4))
+        split = labelled_split(rng, rng.integers(-2, 3, (n_q, d)).astype(float),
+                               rng.integers(-2, 3, (n_g, d)).astype(float),
+                               int(rng.integers(1, 4)))
+        if has_match(split):
+            assert_same_metrics(evaluate(split), loop_evaluate(split))
+
+
+def test_matches_loop_reference_on_duplicated_gallery_rows():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        base = rng.normal(size=(int(rng.integers(1, 20)), 4))
+        g = np.vstack([base, base, base[:3]])[rng.permutation(2 * len(base)
+                                                              + len(base[:3]))]
+        q = np.vstack([g[:5], rng.normal(size=(5, 4))])  # some at distance 0
+        split = labelled_split(rng, q, g, 3)
+        if has_match(split):
+            assert_same_metrics(evaluate(split), loop_evaluate(split))
+
+
+def test_matches_loop_reference_when_every_distance_ties():
+    # a collapsed model: every embedding equal, so each row is one tie run
+    rng = np.random.default_rng(16)
+    for n_ids in (1, 2, 5):
+        split = labelled_split(rng, np.ones((9, 3)), np.ones((30, 3)), n_ids)
+        if has_match(split):
+            assert_same_metrics(evaluate(split), loop_evaluate(split))
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Shrink the block budget to 5 query rows against a 40-row gallery."""
+    n_gallery, height = 40, 5
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * n_gallery * height)
+    return n_gallery, height
+
+
+# 1, 2, height - 1, height, height + 1 and 2 * height + 1 queries
+@pytest.mark.parametrize("n_query", [1, 2, 4, 5, 6, 11])
+def test_matches_loop_reference_at_block_boundaries(small_blocks, n_query):
+    n_gallery, _ = small_blocks
+    rng = np.random.default_rng(n_query)
+    for grid in (False, True):
+        q = rng.normal(size=(n_query, 3))
+        g = rng.normal(size=(n_gallery, 3))
+        if grid:
+            q, g = np.round(q), np.round(g)
+        split = labelled_split(rng, q, g, 2)
+        split.query_labels[0] = split.gallery_labels[0]
+        assert_same_metrics(evaluate(split), loop_evaluate(split))
+
+
+def test_block_of_only_excluded_queries(small_blocks):
+    n_gallery, height = small_blocks
+    rng = np.random.default_rng(14)
+    split = labelled_split(rng, rng.normal(size=(3 * height, 3)),
+                           rng.normal(size=(n_gallery, 3)), 3)
+    split.query_labels[height:2 * height] = 99  # the whole middle block
+    got = evaluate(split)
+    assert got.excluded_queries >= height
+    assert_same_metrics(got, loop_evaluate(split))
+
+
+@pytest.mark.parametrize("d", [3, 8, 32])
+def test_block_distances_equal_full_product_rows(d):
+    n_gallery = 8192
+    height = evaluation.BLOCK_BYTES // (8 * n_gallery)
+    n_query = 2 * height + 1  # a naive partition leaves a one-row tail
+    rng = np.random.default_rng(d)
+    q = rng.normal(size=(n_query, d))
+    g = rng.normal(size=(n_gallery, d))
+    full = evaluation._cross_distances(q, g)
+    blocks = evaluation._query_blocks(n_query, n_gallery)
+    assert [b.stop - b.start for b in blocks] == [height, height + 1]
+    for block in blocks:
+        assert np.array_equal(evaluation._cross_distances(q[block], g), full[block])
+
+
+def test_query_blocks_cover_queries_without_one_row_blocks():
+    for n_gallery in (1, 40, 6144, 10**7):
+        for n_query in (0, 1, 2, 3, 169, 170, 171, 341, 2048):
+            blocks = evaluation._query_blocks(n_query, n_gallery)
+            rows = np.concatenate([np.arange(n_query)[b] for b in blocks] or [[]])
+            assert np.array_equal(rows, np.arange(n_query))
+            assert n_query <= 1 or min(b.stop - b.start for b in blocks) >= 2
+
+
+def test_peak_memory_stays_per_block():
+    # The full 2048 x 6144 float64 distance matrix (96 MiB) and its int64
+    # argsort (96 MiB) together need over 190 MiB.  Blocked ranking holds a
+    # few BLOCK_BYTES (8 MiB) arrays and measures about 40 MiB here.
+    rng = np.random.default_rng(15)
+    split = labelled_split(rng, rng.normal(size=(2048, 32)),
+                           rng.normal(size=(6144, 32)), 512)
+    tracemalloc.start()
+    try:
+        evaluate(split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_nonfinite_embeddings_name_side_and_row():
+    q = np.zeros((3, 2))
+    g = np.ones((4, 2))
+    labels_q, labels_g = np.zeros(3, int), np.zeros(4, int)
+    q[1, 0] = np.nan
+    g[2, 1] = np.inf
+    with pytest.raises(InvalidInputError, match="query embedding row 1"):
+        evaluate(QueryGallerySplit(q, labels_q, g, labels_g))
+    with pytest.raises(InvalidInputError, match="gallery embedding row 2"):
+        evaluate(QueryGallerySplit(np.zeros((3, 2)), labels_q, g, labels_g))
+
+
+def test_overflowing_distances_are_an_error():
+    split = QueryGallerySplit(
+        query_embeddings=np.array([[1e200], [0.0]]), query_labels=np.array([0, 0]),
+        gallery_embeddings=np.array([[0.0], [1.0]]), gallery_labels=np.array([0, 1]))
+    with pytest.raises(InvalidInputError, match="overflow"), \
+            np.errstate(over="ignore"):
+        evaluate(split)
+
+
 def test_distance_ties_break_by_gallery_index():
     # two gallery items at the same distance; the lower index wins rank 1
     split = QueryGallerySplit(
@@ -150,6 +337,15 @@ def test_dimension_mismatch():
         query_embeddings=np.zeros((1, 3)), query_labels=np.array([0]),
         gallery_embeddings=np.zeros((1, 2)), gallery_labels=np.array([0]))
     with pytest.raises(InvalidInputError):
+        evaluate(split)
+
+
+@pytest.mark.parametrize("n_q_labels, n_g_labels", [(1, 2), (3, 2), (2, 1), (2, 3)])
+def test_label_count_mismatch(n_q_labels, n_g_labels):
+    split = QueryGallerySplit(
+        query_embeddings=np.zeros((2, 1)), query_labels=np.zeros(n_q_labels, int),
+        gallery_embeddings=np.ones((2, 1)), gallery_labels=np.zeros(n_g_labels, int))
+    with pytest.raises(InvalidInputError, match="needs one label"):
         evaluate(split)
 
 
