@@ -39,6 +39,6 @@ for k, p in [(1, 1), (1, 2), (2, 1)]:
 # composite = cross-entropy on logits + lambda * triplet term
 logits = np.array([[2.0, 0.1], [1.5, 0.2], [0.1, 1.8], [0.0, 2.2]])
 w = HyperParams(lam=1.0, margin=0.2, k=1, p=1)
-b = composite_loss(x, labels, logits, labels, w)
+b = composite_loss(x, logits, labels, w)
 print(f"\ncomposite: ce={b.softmax_term:.4f} triplet={b.gbh_term:.4f} "
       f"total={b.total:.4f}")

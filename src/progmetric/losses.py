@@ -4,7 +4,9 @@ All losses operate on a batch of embeddings (N x d) with integer identity
 labels.  Batches are expected to be identity-balanced (P identities, K
 samples each) so that every anchor has at least one positive and one
 negative; `batch_hard_loss` and the generalized variants raise
-DegenerateBatchError otherwise.
+DegenerateBatchError otherwise.  The triplet losses also accept, in place of
+the labels, their `TripletLayout` (see `triplet_layout`), which a caller
+whose batches all share one label pattern builds once.
 """
 
 from __future__ import annotations
@@ -93,29 +95,75 @@ def pairwise_distances(embeddings, squared=False):
     return d
 
 
-def _masks(labels):
+@dataclass(frozen=True, eq=False)
+class TripletLayout:
+    """Which rows of a batch share a label: all that triplet selection reads
+    of the labels.
+
+    members holds each anchor's same-label row indices in ascending order,
+    padded to the largest label count W (W = K on P x K batches), and cells
+    their flat positions in an N x N matrix; not_pos marks the padding and
+    the anchor itself.  same is the N x N same-label mask; n_pos and n_neg
+    count each anchor's positives and negatives.
+    Label vectors with the same equality pattern share one layout, so a
+    run whose batches are P distinct labels in K-long blocks builds it once.
+    """
+
+    members: np.ndarray
+    cells: np.ndarray
+    not_pos: np.ndarray
+    same: np.ndarray
+    n_pos: np.ndarray
+    n_neg: np.ndarray
+
+
+def triplet_layout(labels):
+    """The TripletLayout of a label vector; raises DegenerateBatchError when
+    an anchor has no positive or no negative."""
     labels = np.asarray(labels)
+    n = len(labels)
     same = labels[:, None] == labels[None, :]
-    pos = same.copy()
-    np.fill_diagonal(pos, False)
-    neg = ~same
-    return pos, neg
-
-
-def _check_triplet_batch(pos_mask, neg_mask):
-    if not pos_mask.any(axis=1).all():
+    counts = same.sum(axis=1)
+    n_pos, n_neg = counts - 1, n - counts
+    if not (n_pos > 0).all():
         raise DegenerateBatchError("an anchor has no positive (need K >= 2)")
-    if not neg_mask.any(axis=1).all():
+    if not (n_neg > 0).all():
         raise DegenerateBatchError("an anchor has no negative (need P >= 2)")
+    width = counts.max(initial=0)
+    # a stable sort of ~same lists each row's same-label indices first, in order
+    members = np.argsort(~same, axis=1, kind="stable")[:, :width]
+    rows = np.arange(n)[:, None]
+    not_pos = (np.arange(width) >= counts[:, None]) | (members == rows)
+    return TripletLayout(members=members, cells=members + rows * n,
+                         not_pos=not_pos, same=same, n_pos=n_pos, n_neg=n_neg)
+
+
+def _as_layout(labels, n):
+    """labels' TripletLayout (built unless labels already is one), checked
+    against a batch of n rows."""
+    layout = labels if isinstance(labels, TripletLayout) else triplet_layout(labels)
+    if layout.same.shape != (n, n):
+        raise InvalidInputError(
+            f"labels describe {len(layout.same)} rows, the batch has {n}")
+    return layout
+
+
+def _negatives(dist, layout):
+    """A copy of dist with every same-label entry (the anchor included) +inf."""
+    key = dist.copy()
+    np.copyto(key, np.inf, where=layout.same)
+    return key
 
 
 def batch_hard_loss(embeddings, labels, margin):
-    """Sum over anchors of hinge(margin + farthest positive - nearest negative)."""
+    """Sum over anchors of hinge(margin + farthest positive - nearest negative).
+
+    labels is a label vector or its TripletLayout.
+    """
     d = pairwise_distances(embeddings)
-    pos_mask, neg_mask = _masks(labels)
-    _check_triplet_batch(pos_mask, neg_mask)
-    hardest_pos = np.where(pos_mask, d, -np.inf).max(axis=1)
-    nearest_neg = np.where(neg_mask, d, np.inf).min(axis=1)
+    layout = _as_layout(labels, len(d))
+    hardest_pos = np.where(layout.not_pos, -np.inf, d.take(layout.cells)).max(axis=1)
+    nearest_neg = _negatives(d, layout).min(axis=1)
     return float(np.maximum(margin + hardest_pos - nearest_neg, 0.0).sum())
 
 
@@ -141,17 +189,20 @@ def _order_stat(key, col):
 def gbh_select(dist, labels, k, p):
     """Indices of the k-th farthest positive and p-th nearest negative per anchor.
 
-    k and p clamp to the available counts; order-statistic ties break toward
-    the lowest sample index, and excluded entries rank last as +inf.
+    labels is a label vector or its TripletLayout.  k and p clamp to the
+    available counts; order-statistic ties break toward the lowest sample
+    index.  Positives are ranked within each anchor's member block (N x W),
+    whose columns run in index order; negatives across the row, with
+    same-label entries ranking last as +inf.
     """
     if k < 1 or p < 1:
         raise InvalidInputError("k and p must be >= 1")
-    pos_mask, neg_mask = _masks(labels)
-    _check_triplet_batch(pos_mask, neg_mask)
-    k_col = np.minimum(k, pos_mask.sum(axis=1)) - 1
-    p_col = np.minimum(p, neg_mask.sum(axis=1)) - 1
-    return (_order_stat(np.where(pos_mask, -dist, np.inf), k_col),
-            _order_stat(np.where(neg_mask, dist, np.inf), p_col))
+    layout = _as_layout(labels, len(dist))
+    pos_col = _order_stat(np.where(layout.not_pos, np.inf, -dist.take(layout.cells)),
+                          np.minimum(k, layout.n_pos) - 1)
+    pos_idx = layout.members[np.arange(len(dist)), pos_col]
+    neg_idx = _order_stat(_negatives(dist, layout), np.minimum(p, layout.n_neg) - 1)
+    return pos_idx, neg_idx
 
 
 def gbh_terms(dist, labels, k, p):
@@ -191,14 +242,15 @@ def cross_entropy_loss(logits, labels):
     return cross_entropy_loss_grad(logits, labels)[0]
 
 
-def composite_loss(embeddings, labels, logits, class_ids, w: HyperParams):
+def composite_loss(embeddings, logits, class_ids, w: HyperParams):
     """Cross-entropy plus lam times the generalized batch-hard loss.
 
-    class_ids are the dense class indices matching the logit columns;
-    labels are the raw identity ids used for triplet formation.
+    class_ids are the dense class indices matching the logit columns; they
+    are also the triplet labels, since selection only compares labels for
+    equality.
     """
     ce = cross_entropy_loss(logits, class_ids)
-    g = gbh_loss(embeddings, labels, w)
+    g = gbh_loss(embeddings, class_ids, w)
     return LossBreakdown(softmax_term=ce, gbh_term=g, total=ce + w.lam * g)
 
 
@@ -231,13 +283,15 @@ def _triplet_grad(embeddings, labels, k, p, margin, outer):
     c = coeff[:, None]
     u_ab = (x - x[pos_idx]) / np.maximum(d_ab, DIST_EPS)[:, None]
     u_an = (x - x[neg_idx]) / np.maximum(d_an, DIST_EPS)[:, None]
-    # np.add.at applies the (anchor, positive, negative) rows in anchor
-    # order, so each gradient row sums its terms in a fixed, loop-equal order.
-    targets = np.stack([rows, pos_idx, neg_idx], axis=1).ravel()
+    # One bincount over the flat (row, column) cells of the (anchor,
+    # positive, negative) rows, in anchor order: each cell sums its terms in
+    # that order from 0.0, as a per-anchor loop would.
+    dim = x.shape[1]
+    targets = np.stack([rows, pos_idx, neg_idx], axis=1)
+    cells = (targets[:, :, None] * dim + np.arange(dim)).ravel()
     terms = np.stack([c * (u_ab - u_an), -(c * u_ab), c * u_an], axis=1)
-    grad = np.zeros_like(x)
-    np.add.at(grad, targets, terms.reshape(-1, x.shape[1]))
-    return value, grad
+    grad = np.bincount(cells, weights=terms.ravel(), minlength=x.size)
+    return value, grad.reshape(x.shape)
 
 
 def gbh_loss_grad(embeddings, labels, w: HyperParams):
@@ -250,16 +304,18 @@ def batch_hard_grad(embeddings, labels, margin):
     return _triplet_grad(embeddings, labels, 1, 1, margin, "hinge")
 
 
-def composite_loss_grad(embeddings, labels, logits, class_ids, w: HyperParams):
+def composite_loss_grad(embeddings, logits, class_ids, w: HyperParams,
+                        layout=None):
     """Composite loss breakdown and its analytic gradients in one pass.
 
     Returns (LossBreakdown, gradient w.r.t. embeddings, gradient w.r.t.
     logits).  The embedding gradient carries only the triplet term (already
     scaled by lam, exactly zero at lam = 0); the logit gradient carries only
-    the cross-entropy term.
+    the cross-entropy term.  layout, when given, is class_ids'
+    TripletLayout, which the triplet term then does not rebuild.
     """
     ce, g_logits = cross_entropy_loss_grad(logits, class_ids)
-    g, g_emb = gbh_loss_grad(embeddings, labels, w)
+    g, g_emb = gbh_loss_grad(embeddings, class_ids if layout is None else layout, w)
     g_emb = w.lam * g_emb if w.lam != 0.0 else np.zeros_like(g_emb)
     breakdown = LossBreakdown(softmax_term=ce, gbh_term=g, total=ce + w.lam * g)
     return breakdown, g_emb, g_logits

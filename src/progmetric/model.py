@@ -140,13 +140,17 @@ def forward_with_cache(params: ModelParams, features):
     return emb, logits, cache
 
 
-def backward(params: ModelParams, cache, d_emb, d_logits):
-    """Parameter gradients given gradients at the embedding and logit outputs."""
+def backward(params: ModelParams, cache, d_emb, d_logits, out=None):
+    """Parameter gradients given gradients at the embedding and logit outputs.
+
+    The gradients are written into `out` (params of the same layout, every
+    entry overwritten) and returned; without it, into a fresh buffer.
+    """
     x, h_pre, h, z_soft = cache
     half = params.w_trip.shape[1]
     d_zt = d_emb[:, :half]
     d_zs = d_emb[:, half:] + d_logits @ params.w_cls.T
-    grads = params.like(np.empty_like(params.flat))
+    grads = params.like(np.empty_like(params.flat)) if out is None else out
     np.matmul(z_soft.T, d_logits, out=grads.w_cls)
     d_logits.sum(axis=0, out=grads.b_cls)
     np.matmul(h.T, d_zt, out=grads.w_trip)

@@ -178,13 +178,16 @@ class RunResult:
     report: RunReport
 
 
-def batch_loss_and_grads(mode, emb, logits, class_ids, w: HyperParams):
+def batch_loss_and_grads(mode, emb, logits, class_ids, w: HyperParams,
+                         layout=None):
     """Loss breakdown and output-level gradients for one batch in a mode.
 
     class_ids are the dense class indices (logit columns); they also serve
     as the triplet labels, since triplet selection only compares labels
-    for equality.
+    for equality.  layout, when given, is class_ids' TripletLayout, which
+    the triplet term then does not rebuild.
     """
+    trip_labels = class_ids if layout is None else layout
     if mode == "composite_fixed":
         # Composite training mirrors the two-head split: the triplet term
         # sees only the triplet head's half of the embedding, cross-entropy
@@ -193,7 +196,7 @@ def batch_loss_and_grads(mode, emb, logits, class_ids, w: HyperParams):
         half = emb.shape[1] // 2
         trip = emb[:, :half]
         breakdown, d_trip, d_logits = losses.composite_loss_grad(
-            trip, class_ids, logits, class_ids, w)
+            trip, logits, class_ids, w, layout)
         d_emb = np.zeros_like(emb)
         d_emb[:, :half] = d_trip
     elif mode == "ce_only":
@@ -201,11 +204,11 @@ def batch_loss_and_grads(mode, emb, logits, class_ids, w: HyperParams):
         breakdown = LossBreakdown(softmax_term=ce, gbh_term=0.0, total=ce)
         d_emb = np.zeros_like(emb)
     elif mode == "triplet_only":
-        value, d_emb = losses.gbh_loss_grad(emb, class_ids, w)
+        value, d_emb = losses.gbh_loss_grad(emb, trip_labels, w)
         breakdown = LossBreakdown(softmax_term=0.0, gbh_term=value, total=value)
         d_logits = np.zeros_like(logits)
     elif mode == "batch_hard":
-        value, d_emb = losses.batch_hard_grad(emb, class_ids, w.margin)
+        value, d_emb = losses.batch_hard_grad(emb, trip_labels, w.margin)
         breakdown = LossBreakdown(softmax_term=0.0, gbh_term=value, total=value)
         d_logits = np.zeros_like(logits)
     else:
@@ -214,7 +217,12 @@ def batch_loss_and_grads(mode, emb, logits, class_ids, w: HyperParams):
 
 
 class TrainingRun:
-    """Mutable training state: model, optimizer, sampler, epoch history."""
+    """Mutable training state: model, optimizer, sampler, epoch history.
+
+    The sampler lays every batch out as P distinct identities in K-long
+    blocks, so all batches share one triplet layout, built here once, and
+    each batch's gradients go into one buffer the run owns.
+    """
 
     def __init__(self, features, labels, model_cfg: ModelConfig,
                  opt_cfg: OptimizerConfig, batch_spec: BatchSpec, seed):
@@ -228,6 +236,9 @@ class TrainingRun:
         self.params = ModelParams.init(self.model_cfg, rng)
         self.adam = AdamState.zeros_like(self.params)
         self.sampler = PKSampler(self.labels, batch_spec, rng.integers(2**63))
+        self.layout = losses.triplet_layout(
+            np.repeat(np.arange(batch_spec.P), batch_spec.K))
+        self.grads = self.params.like(np.empty_like(self.params.flat))
         self.opt_cfg = opt_cfg
         self.rows = []  # one EpochStats per trained epoch; never rewound
 
@@ -252,9 +263,10 @@ class TrainingRun:
                 x = self.features[idx]
                 emb, logits, cache = forward_with_cache(self.params, x)
                 breakdown, d_emb, d_logits = batch_loss_and_grads(
-                    mode, emb, logits, self.class_ids_for(idx), w)
-                grads = backward(self.params, cache, d_emb, d_logits)
-                adam_step(self.params, grads, self.adam, lr, beta1, self.opt_cfg)
+                    mode, emb, logits, self.class_ids_for(idx), w, self.layout)
+                backward(self.params, cache, d_emb, d_logits, out=self.grads)
+                adam_step(self.params, self.grads, self.adam, lr, beta1,
+                          self.opt_cfg)
                 acc += (breakdown.softmax_term, breakdown.gbh_term, breakdown.total)
             acc /= self.sampler.batches_per_epoch
             self.rows.append(EpochStats(phase=phase, candidate=candidate, w=w, lr=lr,

@@ -116,7 +116,7 @@ def test_criterion_2_gradient_fidelity():
         # loss-level gradient vs central differences
         emb = rng.normal(size=(n, 4), scale=2.0)
         logits = rng.normal(size=(n, n_ids))
-        _, d_emb, d_logits = composite_loss_grad(emb, labels, logits, labels, w)
+        _, d_emb, d_logits = composite_loss_grad(emb, logits, labels, w)
         step = 1e-6
         fd = []
         an = []
@@ -126,9 +126,9 @@ def test_criterion_2_gradient_fidelity():
                 i = it.multi_index
                 orig = arr[i]
                 arr[i] = orig + step
-                hi = composite_loss(emb, labels, logits, labels, w).total
+                hi = composite_loss(emb, logits, labels, w).total
                 arr[i] = orig - step
-                lo = composite_loss(emb, labels, logits, labels, w).total
+                lo = composite_loss(emb, logits, labels, w).total
                 arr[i] = orig
                 fd.append((hi - lo) / (2 * step))
                 an.append(grad[i])
@@ -140,7 +140,7 @@ def test_criterion_2_gradient_fidelity():
         params = ModelParams.init(cfg, rng)
         x = rng.normal(size=(n, 3), scale=2.0)
         e, l, cache = forward_with_cache(params, x)
-        _, ge, gl = composite_loss_grad(e, labels, l, labels, w)
+        _, ge, gl = composite_loss_grad(e, l, labels, w)
         grads = backward(params, cache, ge, gl)
         fdv, anv = [], []
         for arr, g in zip(params.arrays(), grads.arrays()):
@@ -150,10 +150,10 @@ def test_criterion_2_gradient_fidelity():
                 orig = arr[i]
                 arr[i] = orig + step
                 e2, l2 = forward(params, x)
-                hi = composite_loss(e2, labels, l2, labels, w).total
+                hi = composite_loss(e2, l2, labels, w).total
                 arr[i] = orig - step
                 e2, l2 = forward(params, x)
-                lo = composite_loss(e2, labels, l2, labels, w).total
+                lo = composite_loss(e2, l2, labels, w).total
                 arr[i] = orig
                 fdv.append((hi - lo) / (2 * step))
                 anv.append(g[i])

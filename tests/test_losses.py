@@ -277,6 +277,76 @@ def test_triplet_grad_matches_per_anchor_reference(outer):
         assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
 
 
+DESK_LAYOUT = losses.triplet_layout(np.repeat(np.arange(16), 8))
+
+
+def desk_batch(rng, kind):
+    """A batch laid out like a training run's (16 distinct ids in 8-long
+    blocks, dim 16) that ties heavily: small integer points, all points
+    coincident, or each id's 8 rows drawn with replacement from a pool of
+    1-7 rows (as the sampler draws an identity with fewer than K samples)."""
+    labels = np.repeat(rng.choice(1000, 16, replace=False), 8)
+    if kind == "integer":
+        x = rng.integers(-1, 2, size=(128, 16)).astype(float)
+    elif kind == "coincident":
+        x = np.full((128, 16), float(rng.integers(-2, 3)))
+    else:
+        x = np.concatenate([
+            pool[rng.integers(0, len(pool), 8)]
+            for pool in (rng.normal(size=(int(rng.integers(1, 8)), 16))
+                         for _ in range(16))])
+    return x, labels
+
+
+DESK_KINDS = ("integer", "coincident", "duplicated")
+
+
+@pytest.mark.parametrize("kind", DESK_KINDS)
+def test_gbh_select_with_prebuilt_layout_matches_reference(kind):
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        x, labels = desk_batch(rng, kind)
+        d = pairwise_distances(x)
+        k, p = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        pos_idx, neg_idx = losses.gbh_select(d, DESK_LAYOUT, k, p)
+        ref_pos, ref_neg = loop_select(d, labels, k, p)
+        assert np.array_equal(pos_idx, ref_pos)
+        assert np.array_equal(neg_idx, ref_neg)
+
+
+@pytest.mark.parametrize("outer", ["softplus", "hinge"])
+@pytest.mark.parametrize("kind", DESK_KINDS)
+def test_triplet_grad_with_prebuilt_layout_matches_reference(kind, outer):
+    rng = np.random.default_rng(28)
+    for _ in range(15):
+        x, labels = desk_batch(rng, kind)
+        k, p = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        margin = float(rng.choice([-0.1, 0.0, 0.2]))
+        value, grad = losses._triplet_grad(x, DESK_LAYOUT, k, p, margin, outer)
+        ref_value, ref_grad = loop_triplet_grad(x, labels, k, p, margin, outer)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+
+
+def test_triplet_layout_hand_case():
+    layout = losses.triplet_layout([5, 9, 5, 5, 9])
+    assert np.array_equal(layout.members,
+                          [[0, 2, 3], [1, 4, 0], [0, 2, 3], [0, 2, 3], [1, 4, 0]])
+    # padding (row 1 and 4's third column) and the anchor are not positives
+    assert np.array_equal(layout.not_pos, [[1, 0, 0], [1, 0, 1], [0, 1, 0],
+                                           [0, 0, 1], [0, 1, 1]])
+    assert np.array_equal(layout.cells, layout.members + 5 * np.arange(5)[:, None])
+    assert np.array_equal(layout.n_pos, [2, 1, 2, 2, 1])
+    assert np.array_equal(layout.n_neg, [2, 3, 2, 2, 3])
+    with pytest.raises(DegenerateBatchError, match="no positive"):
+        losses.triplet_layout([0, 0, 1])
+    with pytest.raises(DegenerateBatchError, match="no negative"):
+        losses.triplet_layout([4, 4, 4])
+    with pytest.raises(InvalidInputError, match="describe 5 rows"):
+        losses.gbh_select(np.zeros((4, 4)), layout, 1, 1)
+
+
 # ----------------------------------------------------------------- gbh loss
 
 def test_gbh_loss_hand_case():
@@ -374,36 +444,34 @@ def test_composite_lambda_zero_equals_ce():
     rng = np.random.default_rng(4)
     x, labels = random_balanced_batch(rng)
     logits = rng.normal(size=(len(x), 3))
-    cids = labels % 3
     w = HyperParams(lam=0.0, margin=0.1, k=1, p=1)
-    b = composite_loss(x, labels, logits, cids, w)
-    assert b.total == cross_entropy_loss(logits, cids)
+    b = composite_loss(x, logits, labels, w)
+    assert b.total == cross_entropy_loss(logits, labels)
     assert b.gbh_term > 0.0
 
 
 def test_composite_is_sum_of_components():
     logits = np.zeros((4, 2))
-    cids = LINE_LABELS
     w = HyperParams(lam=1.0, margin=0.2, k=1, p=1)
-    b = composite_loss(LINE, LINE_LABELS, logits, cids, w)
+    b = composite_loss(LINE, logits, LINE_LABELS, w)
     assert b.total == pytest.approx(
-        cross_entropy_loss(logits, cids) + gbh_loss(LINE, LINE_LABELS, w))
+        cross_entropy_loss(logits, LINE_LABELS) + gbh_loss(LINE, LINE_LABELS, w))
 
 
 def test_composite_linear_in_lambda():
     logits = np.zeros((4, 2))
     w1 = HyperParams(lam=1.0, margin=0.2, k=1, p=1)
     w2 = HyperParams(lam=2.0, margin=0.2, k=1, p=1)
-    b1 = composite_loss(LINE, LINE_LABELS, logits, LINE_LABELS, w1)
-    b2 = composite_loss(LINE, LINE_LABELS, logits, LINE_LABELS, w2)
+    b1 = composite_loss(LINE, logits, LINE_LABELS, w1)
+    b2 = composite_loss(LINE, logits, LINE_LABELS, w2)
     assert b2.total == pytest.approx(b1.softmax_term + 2 * b1.gbh_term)
 
 
 # -------------------------------------------------------------- gradients
 
-def fd_gradients(x, labels, logits, cids, w, h=1e-5):
+def fd_gradients(x, logits, labels, w, h=1e-5):
     def total(e, l):
-        return composite_loss(e, labels, l, cids, w).total
+        return composite_loss(e, l, labels, w).total
 
     g_emb = np.zeros_like(x)
     for i in range(x.shape[0]):
@@ -427,7 +495,7 @@ def test_grad_lambda_zero_embeddings():
     x, labels = random_balanced_batch(rng)
     logits = rng.normal(size=(len(x), 3))
     w = HyperParams(lam=0.0, margin=0.1, k=1, p=1)
-    _, g_emb, _ = composite_loss_grad(x, labels, logits, labels % 3, w)
+    _, g_emb, _ = composite_loss_grad(x, logits, labels, w)
     np.testing.assert_array_equal(g_emb, np.zeros_like(x))
 
 
@@ -436,10 +504,9 @@ def test_grad_matches_finite_differences():
     for _ in range(5):
         x, labels = random_balanced_batch(rng)
         logits = rng.normal(size=(len(x), 3))
-        cids = rng.integers(0, 3, len(x))
         w = HyperParams(lam=1.5, margin=0.1, k=2, p=2)
-        _, g_emb, g_log = composite_loss_grad(x, labels, logits, cids, w)
-        fd_emb, fd_log = fd_gradients(x, labels, logits, cids, w)
+        _, g_emb, g_log = composite_loss_grad(x, logits, labels, w)
+        fd_emb, fd_log = fd_gradients(x, logits, labels, w)
         assert np.abs(g_emb - fd_emb).max() <= 1e-4 * max(np.abs(fd_emb).max(), 1.0)
         assert np.abs(g_log - fd_log).max() <= 1e-4 * max(np.abs(fd_log).max(), 1.0)
 
@@ -447,7 +514,7 @@ def test_grad_matches_finite_differences():
 def test_grad_finite_at_coincident_points():
     x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     w = HyperParams(lam=1.0, margin=0.2, k=1, p=1)
-    _, g_emb, _ = composite_loss_grad(x, LINE_LABELS, np.zeros((4, 2)), LINE_LABELS, w)
+    _, g_emb, _ = composite_loss_grad(x, np.zeros((4, 2)), LINE_LABELS, w)
     assert np.all(np.isfinite(g_emb))
 
 
@@ -457,8 +524,8 @@ def test_composite_grad_breakdown_matches_composite_loss():
         x, labels = random_balanced_batch(rng, p=4, k=3)
         logits = rng.normal(size=(len(x), 4))
         w = HyperParams(lam=lam, margin=0.1, k=2, p=3)
-        got, _, _ = composite_loss_grad(x, labels, logits, labels, w)
-        want = composite_loss(x, labels, logits, labels, w)
+        got, _, _ = composite_loss_grad(x, logits, labels, w)
+        want = composite_loss(x, logits, labels, w)
         for part in ("softmax_term", "gbh_term", "total"):
             assert getattr(got, part) == pytest.approx(getattr(want, part), rel=1e-12)
 

@@ -226,12 +226,12 @@ def test_backward_composite_loss_finite_differences():
     labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
     w = HyperParams(lam=1.0, margin=0.2, k=1, p=2)
     emb, logits, cache = forward_with_cache(params, x)
-    _, d_emb, d_logits = composite_loss_grad(emb, labels, logits, labels, w)
+    _, d_emb, d_logits = composite_loss_grad(emb, logits, labels, w)
     grads = backward(params, cache, d_emb, d_logits)
 
     def loss():
         e, l = forward(params, x)
-        return composite_loss(e, labels, l, labels, w).total
+        return composite_loss(e, l, labels, w).total
 
     fd = model_param_fd(loss, params, step=1e-5)
     # b_trip's true gradient is ~0 (a bias shift cancels in every pairwise
@@ -386,3 +386,19 @@ def test_backward_matches_per_field_reference(mode):
         _, d_emb, d_logits = batch_loss_and_grads(mode, emb, logits, class_ids, w)
         grads = backward(params, cache, d_emb, d_logits)
         assert all_equal(grads.arrays(), loop_backward(params, cache, d_emb, d_logits))
+
+
+def test_backward_overwrites_every_entry_of_out():
+    # a training run hands backward one buffer for all its batches; stale
+    # (here NaN) contents must never leak into a gradient
+    cfg = ModelConfig(d_in=6, hidden=9, embed_dim=8, n_classes=5)
+    rng = np.random.default_rng(21)
+    params = ModelParams.init(cfg, rng)
+    out = grads_like(params, np.nan)
+    for _ in range(5):
+        x = rng.normal(size=(12, cfg.d_in))
+        _, _, cache = forward_with_cache(params, x)
+        d_emb = rng.normal(size=(12, cfg.embed_dim))
+        d_logits = rng.normal(size=(12, cfg.n_classes))
+        assert backward(params, cache, d_emb, d_logits, out=out) is out
+        assert np.array_equal(out.flat, backward(params, cache, d_emb, d_logits).flat)

@@ -1,9 +1,10 @@
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from progmetric.losses import HyperParams
+from progmetric.losses import HyperParams, TripletLayout, triplet_layout
 from progmetric.model import PARAM_FIELDS, ModelConfig, OptimizerConfig
 from progmetric.sampler import BatchSpec
 from progmetric.synthetic import SynthSpec, generate
@@ -151,6 +152,44 @@ def test_class_ids_for_matches_per_batch_searchsorted():
         idx = run.sampler.sample()
         assert np.array_equal(run.class_ids_for(idx),
                               np.searchsorted(classes, labels[idx]))
+
+
+def layouts_equal(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(TripletLayout))
+
+
+@pytest.mark.parametrize("counts", [(6,) * 8, (1, 2, 3, 6, 6, 6, 6)])
+def test_every_batch_has_the_run_layout(counts):
+    # the run builds its triplet layout once; every batch the sampler draws
+    # must have exactly that layout, also when an identity has fewer than K
+    # samples and is drawn with replacement
+    rng = np.random.default_rng(8)
+    labels = rng.permutation(np.repeat(np.arange(len(counts)) * 13 + 5, counts))
+    x = rng.normal(size=(len(labels), MODEL.d_in))
+    spec = BatchSpec(4, 4)
+    run = TrainingRun(x, labels, MODEL, OptimizerConfig(), spec, seed=3)
+    repeats = 0
+    for _ in range(300):
+        idx = run.sampler.sample()
+        repeats += len(np.unique(idx)) < spec.batch_size
+        assert layouts_equal(triplet_layout(run.class_ids_for(idx)), run.layout)
+    assert (repeats > 0) == (min(counts) < spec.K)
+
+
+@pytest.mark.parametrize("mode", ["composite_fixed", "triplet_only", "batch_hard"])
+def test_batch_loss_and_grads_same_with_prebuilt_layout(mode):
+    rng = np.random.default_rng(9)
+    class_ids = np.repeat(rng.permutation(6)[:4], 3)
+    layout = triplet_layout(np.repeat(np.arange(4), 3))
+    w = HyperParams(lam=0.7, margin=0.1, k=2, p=3)
+    for _ in range(20):
+        emb = rng.integers(-1, 2, size=(12, 8)).astype(float)
+        logits = rng.normal(size=(12, 6))
+        got = batch_loss_and_grads(mode, emb, logits, class_ids, w, layout)
+        want = batch_loss_and_grads(mode, emb, logits, class_ids, w)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def test_epoch_is_the_length_of_the_run_history():
