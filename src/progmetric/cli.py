@@ -71,7 +71,9 @@ def cmd_train(args):
     features, labels = synthetic.train_partition(dataset)
     model_cfg = dataclasses.replace(cfg.model, d_in=features.shape[1])
     out = Path(cfg.out_dir)
-    budget = args.epochs or cfg.epochs or cfg.pla.max_epochs
+    budget = next(n for n in (args.epochs, cfg.epochs, cfg.pla.max_epochs) if n is not None)
+    if budget < 1:  # the config's epochs and max_epochs are validated at load
+        raise ValueError(f"--epochs must be >= 1, got {budget}")
     if args.mode == "pla":
         result = run_pla(features, labels, cfg.pla, model_cfg, cfg.optimizer,
                          cfg.seed)

@@ -54,15 +54,21 @@ _SECTION_TYPES = {
 }
 
 
+# section fields a run always sets from elsewhere, so a config value is rejected
+_SET_ELSEWHERE = {PlaConfig: {"batch_spec": "the top-level batch section"},
+                  SynthSpec: {"seed": "the top-level seed"},
+                  ModelConfig: {"n_classes": "the training labels"}}
+
+
 def _build(cls, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    if cls is PlaConfig:
-        allowed.discard("batch_spec")  # supplied by the top-level batch section
+    derived = _SET_ELSEWHERE.get(cls, {})
+    allowed = {f.name for f in dataclasses.fields(cls)} - derived.keys()
     unknown = sorted(set(data) - allowed)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}")
+        notes = "".join(f"; {path}.{k} comes from {derived[k]}" for k in unknown if k in derived)
+        raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}{notes}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -76,6 +82,9 @@ def config_from_dict(raw) -> RunConfig:
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"top level: unknown keys {unknown}; allowed: {sorted(allowed)}")
+    epochs = raw.get("epochs")
+    if epochs is not None and (type(epochs) is not int or epochs < 1):
+        raise ConfigError(f"epochs: expected null or an integer >= 1, got {epochs!r}")
     kwargs = {}
     for key, value in raw.items():
         if key in _SECTION_TYPES:

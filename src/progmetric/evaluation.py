@@ -54,35 +54,25 @@ def _query_blocks(n_query, n_gallery):
     return [slice(s, e) for s, e in zip(starts, starts[1:] + [n_query])]
 
 
-def _count_sorted(ranked, rows, value, before):
-    """Per pair, how many entries e of ranked[rows] satisfy before(e, value).
-
-    The rows of ranked are sorted, so this is one binary search for all
-    pairs at once, one halving step per pass.
-    """
-    n = ranked.shape[1]
-    count = np.zeros(len(rows), dtype=np.intp)
-    step = 1 << n.bit_length()
-    while step := step >> 1:
-        cand = count + step
-        count += step * ((cand <= n)
-                         & before(ranked[rows, np.minimum(cand, n) - 1], value))
-    return count
-
-
 def _stable_ranks(dist, ranked, rows, cols):
     """0-based rank of dist[rows, cols] in its row, ties broken by column.
 
     That is its position in a stable argsort of the row: the count of
-    entries below it, found in the value-sorted row, plus the count of
-    equal entries at lower columns.  Only rows where a relevant distance
-    repeats need the second count; they read it off their own stable
-    argsort, which costs O(G log G) a row however many relevant items tie.
+    entries below it, found by one binary search over the value-sorted rows
+    for all pairs at once, plus the count of equal entries at lower columns.
+    Only rows where the next sorted entry equals a relevant distance need
+    the second count; they read it off their own stable argsort, which
+    costs O(G log G) a row however many items tie.
     """
     value = dist[rows, cols]
-    rank = _count_sorted(ranked, rows, value, np.less)
-    tied = np.flatnonzero(_count_sorted(ranked, rows, value, np.less_equal)
-                          - rank > 1)
+    n = ranked.shape[1]
+    rank = np.zeros(len(rows), dtype=np.intp)
+    step = 1 << n.bit_length()
+    while step := step >> 1:  # one halving step per pass
+        cand = rank + step
+        rank += step * ((cand <= n) & (ranked[rows, np.minimum(cand, n) - 1] < value))
+    after = np.minimum(rank + 1, n - 1)
+    tied = np.flatnonzero((after > rank) & (ranked[rows, after] == value))
     if tied.size:
         tied_rows, which = np.unique(rows[tied], return_inverse=True)
         order = np.argsort(dist[tied_rows], axis=1, kind="stable")

@@ -6,7 +6,8 @@ samples each) so that every anchor has at least one positive and one
 negative; `batch_hard_loss` and the generalized variants raise
 DegenerateBatchError otherwise.  The triplet losses also accept, in place of
 the labels, their `TripletLayout` (see `triplet_layout`), which a caller
-whose batches all share one label pattern builds once.
+whose batches all share one label pattern builds once.  Each value function
+(`batch_hard_loss`, `gbh_loss`, ...) is the value part of its `*_grad` kernel.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def pairwise_distances(embeddings, squared=False):
+def pairwise_distances(embeddings):
     """Symmetric matrix of Euclidean distances between all rows."""
     x = np.asarray(embeddings, dtype=float)
     if x.ndim != 2:
@@ -89,7 +90,7 @@ def pairwise_distances(embeddings, squared=False):
     sq = np.diag(gram).copy()
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
-    d = d2 if squared else np.sqrt(d2)
+    d = np.sqrt(d2)
     d = 0.5 * (d + d.T)
     np.fill_diagonal(d, 0.0)
     return d
@@ -138,35 +139,6 @@ def triplet_layout(labels):
                          not_pos=not_pos, same=same, n_pos=n_pos, n_neg=n_neg)
 
 
-def _as_layout(labels, n):
-    """labels' TripletLayout (built unless labels already is one), checked
-    against a batch of n rows."""
-    layout = labels if isinstance(labels, TripletLayout) else triplet_layout(labels)
-    if layout.same.shape != (n, n):
-        raise InvalidInputError(
-            f"labels describe {len(layout.same)} rows, the batch has {n}")
-    return layout
-
-
-def _negatives(dist, layout):
-    """A copy of dist with every same-label entry (the anchor included) +inf."""
-    key = dist.copy()
-    np.copyto(key, np.inf, where=layout.same)
-    return key
-
-
-def batch_hard_loss(embeddings, labels, margin):
-    """Sum over anchors of hinge(margin + farthest positive - nearest negative).
-
-    labels is a label vector or its TripletLayout.
-    """
-    d = pairwise_distances(embeddings)
-    layout = _as_layout(labels, len(d))
-    hardest_pos = np.where(layout.not_pos, -np.inf, d.take(layout.cells)).max(axis=1)
-    nearest_neg = _negatives(d, layout).min(axis=1)
-    return float(np.maximum(margin + hardest_pos - nearest_neg, 0.0).sum())
-
-
 def _order_stat(key, col):
     """Per row, the index of the col-th smallest entry of key.
 
@@ -197,11 +169,16 @@ def gbh_select(dist, labels, k, p):
     """
     if k < 1 or p < 1:
         raise InvalidInputError("k and p must be >= 1")
-    layout = _as_layout(labels, len(dist))
+    n = len(dist)
+    layout = labels if isinstance(labels, TripletLayout) else triplet_layout(labels)
+    if layout.same.shape != (n, n):
+        raise InvalidInputError(f"labels describe {len(layout.same)} rows, the batch has {n}")
     pos_col = _order_stat(np.where(layout.not_pos, np.inf, -dist.take(layout.cells)),
                           np.minimum(k, layout.n_pos) - 1)
-    pos_idx = layout.members[np.arange(len(dist)), pos_col]
-    neg_idx = _order_stat(_negatives(dist, layout), np.minimum(p, layout.n_neg) - 1)
+    pos_idx = layout.members[np.arange(n), pos_col]
+    neg_key = dist.copy()
+    np.copyto(neg_key, np.inf, where=layout.same)
+    neg_idx = _order_stat(neg_key, np.minimum(p, layout.n_neg) - 1)
     return pos_idx, neg_idx
 
 
@@ -210,13 +187,6 @@ def gbh_terms(dist, labels, k, p):
     pos_idx, neg_idx = gbh_select(dist, labels, k, p)
     rows = np.arange(len(dist))
     return dist[rows, pos_idx] - dist[rows, neg_idx]
-
-
-def gbh_loss(embeddings, labels, w: HyperParams):
-    """Sum over anchors of softplus(margin + per-anchor order-statistic term)."""
-    d = pairwise_distances(embeddings)
-    t = gbh_terms(d, labels, w.k, w.p)
-    return float(softplus(w.margin + t).sum())
 
 
 def cross_entropy_loss_grad(logits, class_ids):
@@ -240,18 +210,6 @@ def cross_entropy_loss_grad(logits, class_ids):
 def cross_entropy_loss(logits, labels):
     """Mean negative log softmax probability of the true class."""
     return cross_entropy_loss_grad(logits, labels)[0]
-
-
-def composite_loss(embeddings, logits, class_ids, w: HyperParams):
-    """Cross-entropy plus lam times the generalized batch-hard loss.
-
-    class_ids are the dense class indices matching the logit columns; they
-    are also the triplet labels, since selection only compares labels for
-    equality.
-    """
-    ce = cross_entropy_loss(logits, class_ids)
-    g = gbh_loss(embeddings, class_ids, w)
-    return LossBreakdown(softmax_term=ce, gbh_term=g, total=ce + w.lam * g)
 
 
 def cross_entropy_grad(logits, class_ids):
@@ -299,9 +257,22 @@ def gbh_loss_grad(embeddings, labels, w: HyperParams):
     return _triplet_grad(embeddings, labels, w.k, w.p, w.margin, "softplus")
 
 
+def gbh_loss(embeddings, labels, w: HyperParams):
+    """Sum over anchors of softplus(margin + per-anchor order-statistic term)."""
+    return gbh_loss_grad(embeddings, labels, w)[0]
+
+
 def batch_hard_grad(embeddings, labels, margin):
     """(value, embedding gradient) of the classic batch-hard hinge loss."""
     return _triplet_grad(embeddings, labels, 1, 1, margin, "hinge")
+
+
+def batch_hard_loss(embeddings, labels, margin):
+    """Sum over anchors of hinge(margin + farthest positive - nearest negative).
+
+    labels is a label vector or its TripletLayout.
+    """
+    return batch_hard_grad(embeddings, labels, margin)[0]
 
 
 def composite_loss_grad(embeddings, logits, class_ids, w: HyperParams,
@@ -319,3 +290,13 @@ def composite_loss_grad(embeddings, logits, class_ids, w: HyperParams,
     g_emb = w.lam * g_emb if w.lam != 0.0 else np.zeros_like(g_emb)
     breakdown = LossBreakdown(softmax_term=ce, gbh_term=g, total=ce + w.lam * g)
     return breakdown, g_emb, g_logits
+
+
+def composite_loss(embeddings, logits, class_ids, w: HyperParams):
+    """Cross-entropy plus lam times the generalized batch-hard loss.
+
+    class_ids are the dense class indices matching the logit columns; they
+    are also the triplet labels, since selection only compares labels for
+    equality.
+    """
+    return composite_loss_grad(embeddings, logits, class_ids, w)[0]

@@ -37,6 +37,13 @@ class ModelConfig:
         if self.embed_dim % 2 != 0:
             raise InvalidInputError("embed_dim must be even (two concatenated heads)")
 
+    @property
+    def n_params(self):
+        """Entries of the flat parameter vector: trunk, both heads, classifier."""
+        half = self.embed_dim // 2
+        return ((self.d_in + 1) * self.hidden + 2 * (self.hidden + 1) * half
+                + (half + 1) * self.n_classes)
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -9,6 +9,7 @@ commits real training epochs under the EI-selected candidate.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -102,28 +103,30 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 
 def load_checkpoint(path):
+    """Inverse of save_checkpoint.  A malformed header, or a file length other
+    than its dimensions imply, raises ValueError before any array is allocated."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-        d_in, hidden, embed_dim, n_classes, step, epoch = struct.unpack(
-            "<6q", fh.read(48))
+        header = fh.read(48)
+        if len(header) != 48:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        d_in, hidden, embed_dim, n_classes, step, epoch = struct.unpack("<6q", header)
+        if min(d_in, hidden, embed_dim, n_classes) < 1 or min(step, epoch) < 0:
+            raise ValueError(f"{path}: checkpoint header needs dimensions >= 1, counters >= 0")
         cfg = ModelConfig(d_in=d_in, hidden=hidden, embed_dim=embed_dim,
                           n_classes=n_classes)
-        template = ModelParams.init(cfg, np.random.default_rng(0))
-        size = template.flat.size
-
-        def read_block():
-            buf = fh.read(size * 8)
-            if len(buf) != size * 8:
-                raise ValueError(f"{path}: truncated checkpoint")
-            return template.like(np.frombuffer(buf, dtype="<f8").astype(float))
-
-        params = read_block()
-        adam = AdamState(m=read_block(), v=read_block(), step=step)
-        if fh.read(1):
+        body = 3 * 8 * cfg.n_params  # three float64 blocks
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if remaining < body:
+            raise ValueError(f"{path}: truncated checkpoint")
+        if remaining > body:
             raise ValueError(f"{path}: trailing bytes after checkpoint")
-    return Checkpoint(params=params, adam=adam, epoch=epoch)
+        blocks = np.frombuffer(fh.read(), dtype="<f8").astype(float).reshape(3, -1)
+    template = ModelParams.init(cfg, np.random.default_rng(0))
+    params, m, v = (template.like(block) for block in blocks)
+    return Checkpoint(params=params, adam=AdamState(m=m, v=v, step=step), epoch=epoch)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from progmetric.bayes_opt import NumericalError
 from progmetric.cli import main
 from progmetric.config import config_from_dict, load_config, ConfigError
 from progmetric.model import NonFiniteGradientError
-from progmetric.trainer import load_checkpoint, save_checkpoint
+from progmetric.trainer import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 
 def write_config(tmp_path, **over):
@@ -43,6 +44,24 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"sead": 1})
     with pytest.raises(ConfigError, match="data"):
         config_from_dict({"data": {"n_identitties": 4}})
+
+
+def test_config_rejects_values_set_elsewhere():
+    data = {"n_identities": 4, "samples_per_identity": 4, "dim": 3, "seed": 7}
+    with pytest.raises(ConfigError, match="data.seed comes from the top-level seed"):
+        config_from_dict({"data": data})
+    with pytest.raises(ConfigError, match="model.n_classes comes from the training labels"):
+        config_from_dict({"model": {"n_classes": 5}})
+    with pytest.raises(ConfigError, match="pla.batch_spec comes from the top-level batch"):
+        config_from_dict({"pla": {"batch_spec": {"P": 2, "K": 2}}})
+
+
+@pytest.mark.parametrize("epochs", [0, -3, "3", 2.0, True])
+def test_config_epochs_must_be_null_or_a_positive_integer(epochs):
+    with pytest.raises(ConfigError, match="epochs: expected null or an integer >= 1"):
+        config_from_dict({"epochs": epochs})
+    assert config_from_dict({"epochs": None}).epochs is None
+    assert config_from_dict({"epochs": 4}).epochs == 4
 
 
 def test_config_propagates_component_validation():
@@ -137,6 +156,43 @@ def test_train_deterministic_given_seed(tmp_path):
         out2 / "checkpoint.bin").read_bytes()
 
 
+def trained_epochs(out):
+    return len((out / "report.csv").read_text().splitlines()) - 1
+
+
+def test_train_fixed_budget_precedence(tmp_path):
+    cfg = write_config(tmp_path)  # epochs 15, pla.max_epochs 10
+    ds = gen_dataset(tmp_path, cfg)
+    train = ["train", "--config", str(cfg), "--dataset", str(ds), "--mode", "ce_only"]
+    assert main(train + ["--epochs", "1"]) == 0
+    assert trained_epochs(tmp_path / "out") == 1
+    assert main(train) == 0
+    assert trained_epochs(tmp_path / "out") == 15
+    write_config(tmp_path, epochs=None)
+    assert main(train) == 0
+    assert trained_epochs(tmp_path / "out") == 10
+
+
+@pytest.mark.parametrize("epochs", ["0", "-3"])
+def test_train_epochs_below_one_exits_1(tmp_path, capsys, epochs):
+    cfg = write_config(tmp_path)
+    ds = gen_dataset(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--mode", "ce_only", "--epochs", epochs]) == 1
+    assert capsys.readouterr().err == f"error: --epochs must be >= 1, got {epochs}\n"
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_train_config_epochs_string_exits_1(tmp_path, capsys):
+    ds = gen_dataset(tmp_path, write_config(tmp_path))
+    cfg = write_config(tmp_path, epochs="3")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--mode", "ce_only"]) == 1
+    assert "epochs: expected null or an integer >= 1" in capsys.readouterr().err
+
+
 def test_train_missing_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg),
@@ -220,6 +276,19 @@ def test_eval_nonfinite_weights_exits_1(tmp_path, capsys):
                  "--dataset", str(ds)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: query embedding row 0 is not finite")
+
+
+@pytest.mark.parametrize("header", [
+    struct.pack("<3q", 6, 8, 8),            # file ends inside the header
+    struct.pack("<6q", 0, 8, 8, 4, 0, 0),   # zero input dimension
+], ids=["cut_header", "zero_d_in"])
+def test_eval_malformed_checkpoint_header_exits_1(tmp_path, capsys, header):
+    ds = gen_dataset(tmp_path, write_config(tmp_path))
+    path = tmp_path / "bad.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + header)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--dataset", str(ds)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 # --------------------------------------------------------------- tune-demo

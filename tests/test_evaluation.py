@@ -189,6 +189,29 @@ def test_matches_loop_reference_when_every_distance_ties():
             assert_same_metrics(evaluate(split), loop_evaluate(split))
 
 
+def test_relevant_item_is_the_single_farthest_gallery_row():
+    # its rank is G - 1, so no sorted entry follows it to test for a tie
+    split = QueryGallerySplit(
+        query_embeddings=np.array([[0.0], [0.5]]), query_labels=np.array([1, 0]),
+        gallery_embeddings=np.array([[1.0], [2.0], [-1.0], [4.0]]),
+        gallery_labels=np.array([0, 0, 0, 1]))
+    got = evaluate(split)
+    assert_same_metrics(got, loop_evaluate(split))
+    assert got.cmc[0] == 0.5 and got.map == (0.25 + 1.0) / 2
+
+
+def test_two_tied_relevant_items_are_the_two_farthest():
+    # tied at ranks G - 2 and G - 1, the lower gallery index first
+    split = QueryGallerySplit(
+        query_embeddings=np.array([[0.0], [0.0]]), query_labels=np.array([1, 1]),
+        gallery_embeddings=np.array([[3.0], [1.0], [-3.0], [2.0]]),
+        gallery_labels=np.array([1, 0, 1, 0]))
+    got = evaluate(split)
+    assert_same_metrics(got, loop_evaluate(split))
+    assert np.array_equal(got.cmc, [0.0, 0.0, 1.0, 1.0])
+    assert got.map == (1 / 3 + 2 / 4) / 2
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Shrink the block budget to 5 query rows against a 40-row gallery."""

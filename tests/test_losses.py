@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from progmetric import losses
+from progmetric import losses, trainer
 from progmetric.losses import (
     DegenerateBatchError,
     HyperParams,
     InvalidInputError,
+    LossBreakdown,
     batch_hard_grad,
     batch_hard_loss,
     composite_loss,
@@ -518,32 +519,35 @@ def test_grad_finite_at_coincident_points():
     assert np.all(np.isfinite(g_emb))
 
 
-def test_composite_grad_breakdown_matches_composite_loss():
+def test_loss_values_equal_what_a_training_batch_records():
+    # Each public loss value is, to the bit, the breakdown that
+    # trainer.batch_loss_and_grads records for the same batch, as training
+    # calls it: a P x K batch of dense class ids with the run's prebuilt
+    # layout.  Every other batch is tie-heavy (small integer points).
     rng = np.random.default_rng(8)
-    for lam in (0.0, 0.7, 2.0):
-        x, labels = random_balanced_batch(rng, p=4, k=3)
-        logits = rng.normal(size=(len(x), 4))
-        w = HyperParams(lam=lam, margin=0.1, k=2, p=3)
-        got, _, _ = composite_loss_grad(x, logits, labels, w)
-        want = composite_loss(x, logits, labels, w)
-        for part in ("softmax_term", "gbh_term", "total"):
-            assert getattr(got, part) == pytest.approx(getattr(want, part), rel=1e-12)
+    for i in range(200):
+        p, k = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        n_classes = p + int(rng.integers(0, 4))
+        class_ids = np.repeat(rng.choice(n_classes, p, replace=False), k)
+        layout = losses.triplet_layout(np.repeat(np.arange(p), k))
+        shape = (p * k, 2 * int(rng.integers(1, 5)))
+        emb = (rng.integers(-1, 2, size=shape).astype(float) if i % 2
+               else rng.normal(size=shape))
+        logits = rng.normal(size=(p * k, n_classes))
+        w = HyperParams(lam=float(rng.uniform(0.0, 2.0)),
+                        margin=float(rng.uniform(-0.1, 0.3)),
+                        k=int(rng.integers(1, 9)), p=int(rng.integers(1, 17)))
 
+        def recorded(mode):
+            return trainer.batch_loss_and_grads(mode, emb, logits, class_ids, w,
+                                                layout)[0]
 
-def test_batch_hard_grad_value_matches_loss():
-    rng = np.random.default_rng(9)
-    x, labels = random_balanced_batch(rng)
-    value, grad = batch_hard_grad(x, labels, margin=0.2)
-    assert value == pytest.approx(batch_hard_loss(x, labels, 0.2))
-    assert grad.shape == x.shape
-
-
-def test_gbh_grad_value_matches_loss():
-    rng = np.random.default_rng(10)
-    x, labels = random_balanced_batch(rng)
-    w = HyperParams(lam=1.0, margin=0.1, k=2, p=3)
-    value, _ = gbh_loss_grad(x, labels, w)
-    assert value == pytest.approx(gbh_loss(x, labels, w))
+        value = batch_hard_loss(emb, class_ids, w.margin)
+        assert recorded("batch_hard") == LossBreakdown(0.0, value, value)
+        value = gbh_loss(emb, class_ids, w)
+        assert recorded("triplet_only") == LossBreakdown(0.0, value, value)
+        half = emb[:, :shape[1] // 2]
+        assert recorded("composite_fixed") == composite_loss(half, logits, class_ids, w)
 
 
 # ------------------------------------------------------------- performance

@@ -246,6 +246,7 @@ def test_params_copy_and_config_roundtrip():
     dup.w_trunk[0, 0] += 1.0
     assert params.w_trunk[0, 0] != dup.w_trunk[0, 0]
     assert params.config == TINY
+    assert params.flat.size == TINY.n_params
     assert params.all_finite()
 
 

@@ -341,6 +341,42 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_cut_inside_its_header(tmp_path):
+    run = make_run(10)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, run.snapshot())
+    data = path.read_bytes()
+    for cut in range(len(CHECKPOINT_MAGIC), len(CHECKPOINT_MAGIC) + 48):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated checkpoint header"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [
+    (0, 8, 8, 4, 0, 0),
+    (6, 8, 8, 0, 0, 0),
+    (6, -8, 8, 4, 0, 0),
+    (6, 8, 8, 4, -1, 0),
+    (6, 8, 8, 4, 0, -3),
+], ids=["zero_d_in", "no_classes", "negative_hidden", "negative_step",
+        "negative_epoch"])
+def test_checkpoint_header_out_of_range(tmp_path, header):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<6q", *header) + b"\0" * 64)
+    with pytest.raises(ValueError, match="header needs dimensions"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_length_checked_before_allocation(tmp_path):
+    # dimensions implying about 70 TB of weights; the short file is refused
+    # from its length alone
+    path = tmp_path / "huge.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<6q", 2**40, 8, 8, 4, 0, 0)
+                     + b"\0" * 64)
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_trailing_bytes(tmp_path):
     run = make_run(10)
     path = tmp_path / "model.bin"
