@@ -519,6 +519,43 @@ def test_grad_finite_at_coincident_points():
     assert np.all(np.isfinite(g_emb))
 
 
+def test_composite_grad_breakdown_matches_composite_loss():
+    rng = np.random.default_rng(8)
+    for lam in (0.0, 0.7, 2.0):
+        x, labels = random_balanced_batch(rng, p=4, k=3)
+        logits = rng.normal(size=(len(x), 4))
+        w = HyperParams(lam=lam, margin=0.1, k=2, p=3)
+        got, g_emb, g_logits = composite_loss_grad(x, logits, labels, w)
+        assert got == composite_loss(x, logits, labels, w)
+        ce = loop_cross_entropy_loss(logits, labels)
+        g, ref_grad = loop_triplet_grad(x, labels, 2, 3, 0.1, "softplus")
+        assert got == LossBreakdown(ce, g, ce + lam * g)
+        assert np.array_equal(g_emb, lam * ref_grad)
+        assert np.array_equal(g_logits, loop_cross_entropy_grad(logits, labels))
+
+
+def test_batch_hard_grad_value_matches_loss():
+    rng = np.random.default_rng(9)
+    x, labels = random_balanced_batch(rng)
+    value, grad = batch_hard_grad(x, labels, margin=0.2)
+    assert value == batch_hard_loss(x, labels, 0.2)
+    assert grad.shape == x.shape
+    ref_value, ref_grad = loop_triplet_grad(x, labels, 1, 1, 0.2, "hinge")
+    assert value == ref_value
+    assert np.array_equal(grad, ref_grad)
+
+
+def test_gbh_grad_value_matches_loss():
+    rng = np.random.default_rng(10)
+    x, labels = random_balanced_batch(rng)
+    w = HyperParams(lam=1.0, margin=0.1, k=2, p=3)
+    value, grad = gbh_loss_grad(x, labels, w)
+    assert value == gbh_loss(x, labels, w)
+    ref_value, ref_grad = loop_triplet_grad(x, labels, 2, 3, 0.1, "softplus")
+    assert value == ref_value
+    assert np.array_equal(grad, ref_grad)
+
+
 def test_loss_values_equal_what_a_training_batch_records():
     # Each public loss value is, to the bit, the breakdown that
     # trainer.batch_loss_and_grads records for the same batch, as training
