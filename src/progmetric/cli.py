@@ -66,6 +66,9 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
+    if args.mode == "pla" and args.epochs is not None:
+        raise ValueError("--epochs is the fixed modes' budget; "
+                         "pla mode trains for the config's pla.max_epochs")
     cfg = _load_run_config(args)
     dataset = synthetic.load(args.dataset)
     features, labels = synthetic.train_partition(dataset)
@@ -166,7 +169,8 @@ def build_parser():
     p.add_argument("--mode", choices=TRAIN_MODES, default="pla")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--epochs", type=int, help="budget for fixed modes")
+    p.add_argument("--epochs", type=int,
+                   help="epoch budget, fixed modes only (pla mode uses pla.max_epochs)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="retrieval metrics for a trained checkpoint")

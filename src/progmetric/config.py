@@ -57,7 +57,8 @@ _SECTION_TYPES = {
 # section fields a run always sets from elsewhere, so a config value is rejected
 _SET_ELSEWHERE = {PlaConfig: {"batch_spec": "the top-level batch section"},
                   SynthSpec: {"seed": "the top-level seed"},
-                  ModelConfig: {"n_classes": "the training labels"}}
+                  ModelConfig: {"n_classes": "the training labels",
+                                "d_in": "data.dim"}}
 
 
 def _build(cls, data, path):
@@ -93,8 +94,7 @@ def config_from_dict(raw) -> RunConfig:
             kwargs[key] = value
     cfg = RunConfig(**kwargs)
     cfg.pla = dataclasses.replace(cfg.pla, batch_spec=cfg.batch)
-    if cfg.model.d_in != cfg.data.dim:
-        cfg.model = dataclasses.replace(cfg.model, d_in=cfg.data.dim)
+    cfg.model = dataclasses.replace(cfg.model, d_in=cfg.data.dim)
     return cfg
 
 

@@ -81,17 +81,22 @@ def softplus(x):
 
 def pairwise_distances(embeddings):
     """Symmetric matrix of Euclidean distances between all rows."""
-    x = np.asarray(embeddings, dtype=float)
+    x = np.ascontiguousarray(embeddings, dtype=float)
     if x.ndim != 2:
         raise InvalidInputError("embeddings must be a 2-D array")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("non-finite embedding entries")
+    # On a C-contiguous x, x @ x.T takes BLAS's symmetric rank-k path, so
+    # gram, and with it d, is exactly symmetric (an input with no unit
+    # stride would take a general product that is not); each step below
+    # reuses its operand's buffer.
     gram = x @ x.T
     sq = np.diag(gram).copy()
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    d = 0.5 * (d + d.T)
+    d = np.add.outer(sq, sq)
+    gram *= 2.0
+    d -= gram
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -140,21 +145,24 @@ def triplet_layout(labels):
 
 
 def _order_stat(key, col):
-    """Per row, the index of the col-th smallest entry of key.
+    """Per row, the index of the col-th smallest entry of key (col: one per row).
 
     Equal values rank in index order, as a stable sort would place them.
     A value-only sort finds the col-th value; the row's first entry equal
-    to it is the answer unless smaller-index ties must be skipped, and only
-    those rows walk their equal entries.
+    to it is the answer unless smaller-index ties must be skipped.  That
+    happens exactly where the sorted row repeats the col-th value just
+    before it, and only those rows count their lower entries and walk
+    their equal ones.
     """
     rows = np.arange(len(key))
-    kth = np.sort(key, axis=1)[rows, col][:, None]
-    rank = col - np.count_nonzero(key < kth, axis=1)
-    eq = key == kth
+    srt = np.sort(key, axis=1)
+    kth = srt[rows, col]
+    eq = key == kth[:, None]
     idx = np.argmax(eq, axis=1)
-    walk = np.flatnonzero(rank > 0)
+    walk = np.flatnonzero((col > 0) & (srt[rows, col - 1] == kth))
     if walk.size:
-        idx[walk] = np.argmax(np.cumsum(eq[walk], axis=1) > rank[walk, None], axis=1)
+        rank = col[walk] - np.count_nonzero(key[walk] < kth[walk, None], axis=1)
+        idx[walk] = np.argmax(np.cumsum(eq[walk], axis=1) > rank[:, None], axis=1)
     return idx
 
 
@@ -202,9 +210,10 @@ def cross_entropy_loss_grad(logits, class_ids):
     s = e.sum(axis=1, keepdims=True)
     rows = np.arange(n)
     value = float(np.mean((m + np.log(s))[:, 0] - logits[rows, class_ids]))
-    p = e / s
-    p[rows, class_ids] -= 1.0
-    return value, p / n
+    e /= s
+    e[rows, class_ids] -= 1.0
+    e /= n
+    return value, e
 
 
 def cross_entropy_loss(logits, labels):

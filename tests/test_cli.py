@@ -20,7 +20,7 @@ def write_config(tmp_path, **over):
                  "center_scale": 50.0, "intra_spread": 1.0},
         "split": {"query_per_identity": 2},
         "batch": {"P": 4, "K": 2},
-        "model": {"d_in": 6, "hidden": 8, "embed_dim": 8},
+        "model": {"hidden": 8, "embed_dim": 8},
         "pla": {"max_epochs": 10, "initial_design": 2, "explore_epochs": 2,
                 "objective_split": 1, "exploit_epochs": 3, "pool_size": 16},
         "epochs": 15,
@@ -54,6 +54,12 @@ def test_config_rejects_values_set_elsewhere():
         config_from_dict({"model": {"n_classes": 5}})
     with pytest.raises(ConfigError, match="pla.batch_spec comes from the top-level batch"):
         config_from_dict({"pla": {"batch_spec": {"P": 2, "K": 2}}})
+
+
+def test_config_rejects_model_input_dim():
+    data = {"n_identities": 4, "samples_per_identity": 4, "dim": 6}
+    with pytest.raises(ConfigError, match="model.d_in comes from data.dim"):
+        config_from_dict({"data": data, "model": {"d_in": 99}})
 
 
 @pytest.mark.parametrize("epochs", [0, -3, "3", 2.0, True])
@@ -181,6 +187,16 @@ def test_train_epochs_below_one_exits_1(tmp_path, capsys, epochs):
     assert main(["train", "--config", str(cfg), "--dataset", str(ds),
                  "--mode", "ce_only", "--epochs", epochs]) == 1
     assert capsys.readouterr().err == f"error: --epochs must be >= 1, got {epochs}\n"
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_train_pla_rejects_epochs_flag(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    ds = gen_dataset(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--mode", "pla", "--epochs", "1"]) == 1
+    assert "pla.max_epochs" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,20 +282,23 @@ def test_triplet_grad_matches_per_anchor_reference(outer):
 DESK_LAYOUT = losses.triplet_layout(np.repeat(np.arange(16), 8))
 
 
-def desk_batch(rng, kind):
+def desk_batch(rng, kind, dim=16):
     """A batch laid out like a training run's (16 distinct ids in 8-long
     blocks, dim 16) that ties heavily: small integer points, all points
     coincident, or each id's 8 rows drawn with replacement from a pool of
-    1-7 rows (as the sampler draws an identity with fewer than K samples)."""
+    1-7 rows (as the sampler draws an identity with fewer than K samples).
+    kind "real" draws plain normal points, which do not tie."""
     labels = np.repeat(rng.choice(1000, 16, replace=False), 8)
-    if kind == "integer":
-        x = rng.integers(-1, 2, size=(128, 16)).astype(float)
+    if kind == "real":
+        x = rng.normal(size=(128, dim))
+    elif kind == "integer":
+        x = rng.integers(-1, 2, size=(128, dim)).astype(float)
     elif kind == "coincident":
-        x = np.full((128, 16), float(rng.integers(-2, 3)))
+        x = np.full((128, dim), float(rng.integers(-2, 3)))
     else:
         x = np.concatenate([
             pool[rng.integers(0, len(pool), 8)]
-            for pool in (rng.normal(size=(int(rng.integers(1, 8)), 16))
+            for pool in (rng.normal(size=(int(rng.integers(1, 8)), dim))
                          for _ in range(16))])
     return x, labels
 
@@ -328,6 +332,106 @@ def test_triplet_grad_with_prebuilt_layout_matches_reference(kind, outer):
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
         assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+
+
+def ref_pairwise_distances(embeddings):
+    """Out-of-place, re-symmetrised distances: the reference pairwise_distances
+    must reproduce byte for byte."""
+    x = np.asarray(embeddings, dtype=float)
+    gram = x @ x.T
+    sq = np.diag(gram).copy()
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    np.maximum(d2, 0.0, out=d2)
+    d = np.sqrt(d2)
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def ref_order_stat(key, col):
+    """Order statistic that counts the entries below the col-th value on
+    every row: the reference for losses._order_stat."""
+    rows = np.arange(len(key))
+    kth = np.sort(key, axis=1)[rows, col][:, None]
+    rank = col - np.count_nonzero(key < kth, axis=1)
+    eq = key == kth
+    idx = np.argmax(eq, axis=1)
+    walk = np.flatnonzero(rank > 0)
+    if walk.size:
+        idx[walk] = np.argmax(np.cumsum(eq[walk], axis=1) > rank[walk, None], axis=1)
+    return idx
+
+
+def desk_embedding_views(rng, kind):
+    """A desk batch's 16-dim embedding as a C-contiguous array and as the
+    composite mode's column slice emb[:, :half] of a 32-dim embedding."""
+    emb, _ = desk_batch(rng, kind, dim=32)
+    return np.ascontiguousarray(emb[:, :16]), emb[:, :16]
+
+
+@pytest.mark.parametrize("kind", ("real",) + DESK_KINDS)
+def test_pairwise_distances_equal_reference_bytes(kind):
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        for x in desk_embedding_views(rng, kind):
+            assert pairwise_distances(x).tobytes() == ref_pairwise_distances(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", ("real",) + DESK_KINDS)
+def test_order_stat_equals_reference(kind):
+    # the keys gbh_select ranks, and the negative key at arbitrary per-row
+    # columns (0 included), for every view of the embedding
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        for x in desk_embedding_views(rng, kind):
+            d = pairwise_distances(x)
+            k, p = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+            pos_key = np.where(DESK_LAYOUT.not_pos, np.inf, -d.take(DESK_LAYOUT.cells))
+            neg_key = np.where(DESK_LAYOUT.same, np.inf, d)
+            for key, col in ((pos_key, np.minimum(k, DESK_LAYOUT.n_pos) - 1),
+                             (neg_key, np.minimum(p, DESK_LAYOUT.n_neg) - 1),
+                             (neg_key, rng.integers(0, 112, len(d)))):
+                assert np.array_equal(losses._order_stat(key, col),
+                                      ref_order_stat(key, col))
+
+
+def test_gram_product_is_exactly_symmetric():
+    # pairwise_distances does not re-symmetrise: it relies on x @ x.T taking
+    # BLAS's symmetric rank-k path, which a C-contiguous copy always does;
+    # C-order, Fortran-order and column-slice views take it without a copy,
+    # and the copy leaves their bits unchanged.  Every other column stride
+    # takes a general product, so its distances must come from the copy.
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n, dim = int(rng.integers(1, 301)), int(rng.integers(1, 71))
+        base = rng.normal(size=(n, 2 * dim))
+        for x in (np.ascontiguousarray(base[:, :dim]), np.asfortranarray(base[:, :dim]),
+                  base[:, :dim]):
+            gram = x @ x.T
+            assert gram.tobytes() == gram.T.copy().tobytes()
+            c = np.ascontiguousarray(x)
+            assert (c @ c.T).tobytes() == gram.tobytes()
+        d = pairwise_distances(base[:, ::2])
+        assert d.tobytes() == d.T.copy().tobytes()
+
+
+def test_triplet_step_allocates_few_n_by_n_arrays():
+    # peak traced bytes, in units of one 128 x 128 float64 array, for a desk
+    # batch's 16-dim slice of a 32-dim embedding; the out-of-place forms
+    # peaked at five such arrays in each call
+    x = np.random.default_rng(32).normal(size=(128, 32))[:, :16]
+    w = HyperParams(lam=1.0, margin=0.2, k=2, p=3)
+    nn_bytes = 128 * 128 * 8
+    for call, bound in ((lambda: pairwise_distances(x), 3.5),
+                        (lambda: gbh_loss_grad(x, DESK_LAYOUT, w), 4.0)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / nn_bytes < bound
 
 
 def test_triplet_layout_hand_case():
