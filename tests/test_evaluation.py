@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -246,19 +248,148 @@ def test_block_of_only_excluded_queries(small_blocks):
     assert_same_metrics(got, loop_evaluate(split))
 
 
+def test_matches_loop_reference_when_some_rows_are_constant():
+    # a query at the centre of a gallery circle sees every item at distance 1,
+    # a constant sorted row; the other queries in its block do not
+    rng = np.random.default_rng(17)
+    g = np.tile([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], (6, 1))
+    q = np.vstack([rng.normal(size=(3, 2)), np.zeros((2, 2)), rng.normal(size=(3, 2))])
+    for n_ids in (1, 2, 3):
+        split = labelled_split(rng, q, g, n_ids)
+        if has_match(split):
+            assert_same_metrics(evaluate(split), loop_evaluate(split))
+
+
+LABEL_CASES = {
+    "int": (np.array([7, 1000, -3, 42, 7, 5]),
+            np.array([42, 7, 7, 1000, -3, 42, 8, 1000, 7, -3])),
+    "str": (np.array(["a", "bb", "cid", "a", "zz", "bb"]),
+            np.array(["bb", "a", "cid", "a ", "cid", "bb", "a", "bbb", "cid", "a"])),
+    "int_float": (np.array([1, 2, 3, 2**53 + 1, 2, 1]),
+                  np.array([1.0, 2.5, 3.0, 2.0**53, 2.0, 1.0, 3.0, 2.5, 2.0, 0.5])),
+    "float_int": (np.array([1.0, 2.5, 2.0**53, 3.0, 2.0, 0.5]),
+                  np.array([2**53 + 1, 2, 1, 2**53, 3, 2, 1, 2**53 + 1, 2, 5])),
+    "int_uint": (np.array([2**53, 5, 2**53 + 1, 3, 5, 2**53]),
+                 np.array([2**53 + 1, 5, 2**53, 3, 2**53, 7, 2**53 + 1, 3, 5, 1],
+                          dtype=np.uint64)),
+    "nan": (np.array([np.nan, 1.0, 2.0, np.nan, 1.0, 2.0]),
+            np.array([np.nan, 1.0, np.nan, 2.0, 1.0, np.nan, 2.0, 3.0, 1.0, np.nan])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_CASES))
+def test_label_index_matches_equality(case, monkeypatch):
+    # relevant pairs are exactly those where the labels compare equal under
+    # `==`: a NaN-labelled query matches nothing, not even a NaN gallery label
+    q_labels, g_labels = LABEL_CASES[case]
+    rng = np.random.default_rng(18)
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * len(g_labels) * 2)
+    for grid in (False, True):
+        q = rng.normal(size=(len(q_labels), 2))
+        g = rng.normal(size=(len(g_labels), 2))
+        if grid:
+            q, g = np.round(q), np.round(g)
+        split = QueryGallerySplit(q, q_labels, g, g_labels)
+        got = evaluate(split)
+        assert_same_metrics(got, loop_evaluate(split))
+        if case == "nan":
+            assert got.excluded_queries == 2
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    """Pretend the process may run on 1, 2 or 3 CPUs."""
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def test_worker_count_keeps_metrics_bit_identical(small_blocks, workers):
+    n_gallery, height = small_blocks
+    rng = np.random.default_rng(19)
+    n_query = 3 * height + 1  # a one-query tail
+    q = np.round(rng.normal(size=(n_query, 3)))  # grid ties
+    g = np.round(rng.normal(size=(n_gallery, 3)))
+    split = labelled_split(rng, q, g, 3)
+    split.query_labels[height:2 * height] = 99  # a block of only excluded queries
+    before = threading.active_count()
+    got = evaluate(split)
+    assert threading.active_count() == before
+    assert got.excluded_queries >= height
+    assert_same_metrics(got, loop_evaluate(split))
+
+
+def overflow_split(n_query, row):
+    q = np.zeros((n_query, 1))
+    q[row] = 1e200
+    return QueryGallerySplit(q, np.zeros(n_query, int),
+                             np.array([[0.0], [1.0]]), np.array([0, 1]))
+
+
+def test_overflow_in_a_later_block_is_an_error(workers, monkeypatch):
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * 2 * 6)  # 6 rows a block
+    split = overflow_split(30, 25)
+    before = threading.active_count()
+    with pytest.raises(InvalidInputError, match="overflow"), \
+            np.errstate(over="ignore"):
+        evaluate(split)
+    assert threading.active_count() == before
+
+
+def test_worker_threads_follow_the_callers_errstate(workers, monkeypatch):
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * 2 * 6)
+    with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+        evaluate(overflow_split(30, 25))
+
+
+def test_first_failing_block_in_block_order_is_raised(small_blocks, workers,
+                                                      monkeypatch):
+    # each query row's one coordinate is its index, so a block is known by
+    # its first row.  Block 1 fails after block 2, yet its error is raised.
+    n_gallery, height = small_blocks
+    n_query = 8 * height
+    starts = [b.start for b in evaluation._query_blocks(n_query, n_gallery, workers)]
+    rank_block = evaluation._rank_block
+    started = []
+
+    def failing_rank_block(q, *args):
+        index = starts.index(int(q[0, 0]))
+        started.append(index)
+        time.sleep({0: 0.0, 1: 0.2, 2: 0.0}.get(index, 0.05))
+        if index in (1, 2):
+            raise InvalidInputError(f"block {index}")
+        return rank_block(q, *args)
+
+    monkeypatch.setattr(evaluation, "_rank_block", failing_rank_block)
+    split = QueryGallerySplit(np.arange(n_query, dtype=float)[:, None],
+                              np.zeros(n_query, int),
+                              np.zeros((n_gallery, 1)), np.zeros(n_gallery, int))
+    before = threading.active_count()
+    with pytest.raises(InvalidInputError, match="^block 1$"):
+        evaluate(split)
+    assert threading.active_count() == before
+    # blocks not started when block 1 failed were cancelled: at 0.05 s a
+    # block, the other threads start only a few of them in the meantime
+    assert len(started) < len(starts) - 4
+
+
 @pytest.mark.parametrize("d", [3, 8, 32])
 def test_block_distances_equal_full_product_rows(d):
     n_gallery = 8192
-    height = evaluation.BLOCK_BYTES // (8 * n_gallery)
-    n_query = 2 * height + 1  # a naive partition leaves a one-row tail
     rng = np.random.default_rng(d)
-    q = rng.normal(size=(n_query, d))
     g = rng.normal(size=(n_gallery, d))
-    full = evaluation._cross_distances(q, g)
-    blocks = evaluation._query_blocks(n_query, n_gallery)
-    assert [b.stop - b.start for b in blocks] == [height, height + 1]
-    for block in blocks:
-        assert np.array_equal(evaluation._cross_distances(q[block], g), full[block])
+    for workers in (1, 2, 3):
+        height = evaluation.BLOCK_BYTES // (8 * n_gallery * workers)
+        n_query = 2 * height + 1  # a naive partition leaves a one-row tail
+        q = rng.normal(size=(n_query, d))
+        full = evaluation._cross_distances(q, g)
+        if workers == 1:
+            blocks = evaluation._query_blocks(n_query, n_gallery)
+        else:
+            blocks = evaluation._query_blocks(n_query, n_gallery, workers)
+        assert [b.stop - b.start for b in blocks] == [height, height + 1]
+        for block in blocks:
+            assert np.array_equal(evaluation._cross_distances(q[block], g),
+                                  full[block])
 
 
 def test_query_blocks_cover_queries_without_one_row_blocks():
@@ -270,20 +401,23 @@ def test_query_blocks_cover_queries_without_one_row_blocks():
             assert n_query <= 1 or min(b.stop - b.start for b in blocks) >= 2
 
 
-def test_peak_memory_stays_per_block():
+def test_peak_memory_stays_per_block(monkeypatch):
     # The full 2048 x 6144 float64 distance matrix (96 MiB) and its int64
     # argsort (96 MiB) together need over 190 MiB.  Blocked ranking holds a
-    # few BLOCK_BYTES (8 MiB) arrays and measures about 40 MiB here.
+    # few BLOCK_BYTES (8 MiB) arrays and measures about 25 MiB here, with one
+    # thread or with two, whose blocks are half as high.
     rng = np.random.default_rng(15)
     split = labelled_split(rng, rng.normal(size=(2048, 32)),
                            rng.normal(size=(6144, 32)), 512)
-    tracemalloc.start()
-    try:
-        evaluate(split)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    for workers in (1, 2):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: workers)
+        tracemalloc.start()
+        try:
+            evaluate(split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 def test_nonfinite_embeddings_name_side_and_row():
@@ -353,6 +487,12 @@ def test_no_valid_query_is_an_error():
         gallery_embeddings=np.array([[1.0]]), gallery_labels=np.array([4]))
     with pytest.raises(InvalidInputError):
         evaluate(split)
+    # labels of kinds that `==` never finds equal: str against int, which
+    # numpy can cast to one dtype, and datetime against int, which it cannot
+    for g_labels in (np.array(["3"]), np.array([3], dtype="M8[D]")):
+        split.gallery_labels = g_labels
+        with pytest.raises(InvalidInputError, match="no query has a gallery match"):
+            evaluate(split)
 
 
 def test_dimension_mismatch():
