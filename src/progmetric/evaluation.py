@@ -111,8 +111,9 @@ def _rank_block(q, q_labels, lo, hi, g, g_sq, g_labels, order):
 
     A query's candidate gallery columns are order[lo:hi], in ascending column
     order; those whose label equals the query's under ``==`` are relevant.
-    Returns the count of queries whose first hit is at each rank, and the
-    APs of the block's queries that have a match, in query order.
+    Returns, for the block's queries that have a match, in query order, the
+    rank of each one's first hit and its AP: arrays of at most one entry a
+    query, so finished blocks hold no gallery-sized array.
     """
     n_gallery = len(g)
     dist = _cross_distances(q, g, g_sq)
@@ -133,10 +134,9 @@ def _rank_block(q, q_labels, lo, hi, g, g_sq, g_labels, order):
     first = np.cumsum(n_rel) - n_rel
     i = np.arange(1, len(rows) + 1) - first[rows]
     valid = n_rel > 0
-    first_hits = np.bincount(rank[first[valid]], minlength=n_gallery)
     precision = np.zeros(dist.shape)
     precision[rows, rank] = i / (rank + 1)
-    return first_hits, precision.sum(axis=1)[valid] / n_rel[valid]
+    return rank[first[valid]], precision.sum(axis=1)[valid] / n_rel[valid]
 
 
 def _check_finite(x, side):
@@ -205,15 +205,13 @@ def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
             results = [f.result() for f in futures]
         finally:
             pool.shutdown(cancel_futures=True)
-    first_hits = np.zeros(n_gallery, dtype=np.int64)  # queries per first-hit rank
-    aps = [np.zeros(0)]  # per block, the APs of its queries with a match
-    for hits, block_aps in results:
-        first_hits += hits
-        aps.append(block_aps)
-    aps = np.concatenate(aps)
+    # per block, the first-hit ranks and APs of its queries with a match
+    first_ranks = np.concatenate([np.zeros(0, np.intp)] + [r for r, _ in results])
+    aps = np.concatenate([np.zeros(0)] + [a for _, a in results])
     n_valid = len(aps)
     if n_valid == 0:
         raise InvalidInputError("no query has a gallery match")
+    first_hits = np.bincount(first_ranks, minlength=n_gallery)  # queries per rank
     cmc = np.cumsum(first_hits) / n_valid
     return RetrievalMetrics(cmc=cmc, rank1=float(cmc[0]), map=float(np.mean(aps)),
                             excluded_queries=len(q) - n_valid)

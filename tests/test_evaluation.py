@@ -1,6 +1,5 @@
 import math
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -343,23 +342,41 @@ def test_worker_threads_follow_the_callers_errstate(workers, monkeypatch):
 
 def test_first_failing_block_in_block_order_is_raised(small_blocks, workers,
                                                       monkeypatch):
-    # each query row's one coordinate is its index, so a block is known by
-    # its first row.  Block 1 fails after block 2, yet its error is raised.
+    # Each query row's one coordinate is its index, so a block is known by its
+    # first row.  Block 1 fails only after block 2 has failed, yet its error is
+    # raised.  Every block after block 2 waits until the pool has cancelled
+    # the blocks still queued, so of those later blocks at most one per
+    # thread can have started.  (The waits time out only if evaluate hangs.)
     n_gallery, height = small_blocks
     n_query = 8 * height
     starts = [b.start for b in evaluation._query_blocks(n_query, n_gallery, workers)]
     rank_block = evaluation._rank_block
+    block_2_failed = threading.Event()
+    queue_cancelled = threading.Event()
     started = []
 
     def failing_rank_block(q, *args):
         index = starts.index(int(q[0, 0]))
         started.append(index)
-        time.sleep({0: 0.0, 1: 0.2, 2: 0.0}.get(index, 0.05))
-        if index in (1, 2):
-            raise InvalidInputError(f"block {index}")
+        if index == 1:
+            if workers > 1:
+                block_2_failed.wait(30)
+            raise InvalidInputError("block 1")
+        if index == 2:
+            block_2_failed.set()
+            raise InvalidInputError("block 2")
+        if index > 2:
+            queue_cancelled.wait(30)
         return rank_block(q, *args)
 
+    class Pool(evaluation.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            queue_cancelled.set()
+            super().shutdown(wait=wait)
+
     monkeypatch.setattr(evaluation, "_rank_block", failing_rank_block)
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Pool)
     split = QueryGallerySplit(np.arange(n_query, dtype=float)[:, None],
                               np.zeros(n_query, int),
                               np.zeros((n_gallery, 1)), np.zeros(n_gallery, int))
@@ -367,9 +384,11 @@ def test_first_failing_block_in_block_order_is_raised(small_blocks, workers,
     with pytest.raises(InvalidInputError, match="^block 1$"):
         evaluate(split)
     assert threading.active_count() == before
-    # blocks not started when block 1 failed were cancelled: at 0.05 s a
-    # block, the other threads start only a few of them in the meantime
-    assert len(started) < len(starts) - 4
+    if workers == 1:
+        assert started == [0, 1]
+    else:
+        assert block_2_failed.is_set()
+        assert set(started) <= set(range(3 + workers))  # of 20 blocks
 
 
 @pytest.mark.parametrize("d", [3, 8, 32])
@@ -418,6 +437,25 @@ def test_peak_memory_stays_per_block(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def test_peak_memory_does_not_grow_with_block_count(workers, monkeypatch):
+    # 150 two-row blocks against a 30000-row gallery.  A finished block keeps
+    # only its queries' first-hit ranks and APs, so the peak is a few blocks'
+    # and the gallery's arrays, 2-5 MiB here; one gallery-sized count array
+    # kept per block would add 34 MiB.
+    n_gallery, n_query = 30000, 300
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * n_gallery * 2)
+    rng = np.random.default_rng(20)
+    split = labelled_split(rng, rng.normal(size=(n_query, 4)),
+                           rng.normal(size=(n_gallery, 4)), 50)
+    tracemalloc.start()
+    try:
+        evaluate(split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_nonfinite_embeddings_name_side_and_row():
