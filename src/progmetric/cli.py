@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +21,14 @@ from .bayes_opt import NumericalError
 from .config import ConfigError, RunConfig, load_config
 from .evaluation import evaluate, metrics_csv_lines, pca_apply, pca_reduce
 from .losses import HyperParams
-from .model import AdamState, NonFiniteGradientError, forward
+from .model import NonFiniteGradientError, forward
 from .trainer import (
-    Checkpoint,
     TRAIN_MODES,
-    load_checkpoint,
+    RunReport,
+    load_model,
     run_fixed,
     run_pla,
-    save_checkpoint,
+    save_model,
 )
 from .tuning import run_tuning, trace_csv_lines
 
@@ -91,21 +92,18 @@ def cmd_train(args):
                      [f"round,{HyperParams.CSV_HEADER}"]
                      + [f"{i + 1},{w.csv_fields()}"
                         for i, w in enumerate(report.chosen)])
-    save_checkpoint(out / "checkpoint.bin",
-                    Checkpoint.take(result.best_params,
-                                    AdamState.zeros_like(result.best_params),
-                                    report.total_epochs))
+    save_model(out / "checkpoint.bin", result.best_params)
     print(f"mode={args.mode} epochs={report.total_epochs} "
           f"best_loss={report.best_loss:.6g} -> {out}")
     return 0
 
 
 def cmd_eval(args):
-    ckpt = load_checkpoint(args.checkpoint)
+    params = load_model(args.checkpoint)
     dataset = synthetic.load(args.dataset)
     qg = synthetic.query_gallery(dataset)
-    q_emb, _ = forward(ckpt.params, qg.query_embeddings)
-    g_emb, _ = forward(ckpt.params, qg.gallery_embeddings)
+    q_emb, _ = forward(params, qg.query_embeddings)
+    g_emb, _ = forward(params, qg.gallery_embeddings)
     if args.target_dim is not None:
         pca = pca_reduce(np.vstack([g_emb, q_emb]), args.target_dim)
         q_emb = pca_apply(pca, q_emb)
@@ -133,11 +131,14 @@ def cmd_tune_demo(args):
 def cmd_report(args):
     path = Path(args.report)
     lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    phases = {}
-    for r in rows:
-        phases[r["phase"]] = phases.get(r["phase"], 0) + 1
+    header = next(RunReport().epoch_csv_lines())
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: not a run report (expected header {header!r})")
+    short = [n for n, line in enumerate(lines, start=1) if line.count(",") != header.count(",")]
+    if short:
+        raise ValueError(f"{path}: line {short[0]} does not have the header's fields")
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines[1:]]
+    phases = Counter(r["phase"] for r in rows)
     print(f"{path}: {len(rows)} epochs " +
           " ".join(f"{k}={v}" for k, v in sorted(phases.items())))
     exploit = [r for r in rows if r["phase"] in ("exploit", "train")]

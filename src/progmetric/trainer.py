@@ -9,6 +9,7 @@ commits real training epochs under the EI-selected candidate.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from .sampler import BatchSpec, PKSampler
 
 TRAIN_MODES = ("pla", "batch_hard", "ce_only", "triplet_only", "composite_fixed")
 
-CHECKPOINT_MAGIC = b"PMCKPT01"
+MODEL_MAGIC = b"PMMODEL1"
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,9 @@ class PlaConfig:
     Desk-scale defaults; the reference large-scale settings are
     max_epochs=3000, explore_epochs=20, exploit_epochs=300, initial_design=8.
 
-    Budget rule: a phase starts only while total_epochs < max_epochs and is
-    never cut; an explore round counts as one phase.
+    Budget rule: a round of explores starts only if its exploit phase can
+    still start after it (total_epochs < max_epochs); no phase is cut, so a
+    run ends on an exploit.  Hence max_epochs > initial_design * explore_epochs.
     """
 
     max_epochs: int = 120
@@ -72,61 +74,54 @@ class PlaConfig:
                 raise ValueError("all counts must be >= 1")
         if self.re_explore_policy not in ("all", "stale"):
             raise ValueError("re_explore_policy must be 'all' or 'stale'")
+        if self.max_epochs <= self.initial_design * self.explore_epochs:
+            raise ValueError("max_epochs must exceed initial_design * explore_epochs, "
+                             "or no exploit phase can start")
 
 
 @dataclass
 class Checkpoint:
-    """Model weights plus optimizer moments at a given epoch."""
+    """In-memory copy of the model weights and optimizer moments."""
 
     params: ModelParams
     adam: AdamState
-    epoch: int
-
-    @classmethod
-    def take(cls, params, adam, epoch):
-        return cls(params=params.copy(), adam=adam.copy(), epoch=epoch)
 
 
-def save_checkpoint(path, ckpt: Checkpoint):
-    """Flat binary layout: magic, int64 dims/counters, float64-LE blocks.
-
-    Three blocks follow: the weights' flat vector (each field row-major,
-    in PARAM_FIELDS order), then the first moments', then the second's.
-    """
-    cfg = ckpt.params.config
+def save_model(path, params: ModelParams):
+    """Flat binary layout: magic, the four <q dimensions, then the weights'
+    flat vector as <f8 (each field row-major, in PARAM_FIELDS order)."""
+    cfg = params.config
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<6q", cfg.d_in, cfg.hidden, cfg.embed_dim,
-                             cfg.n_classes, ckpt.adam.step, ckpt.epoch))
-        for block in (ckpt.params.flat, ckpt.adam.m.flat, ckpt.adam.v.flat):
-            fh.write(block.astype("<f8", copy=False).tobytes())
+        fh.write(MODEL_MAGIC)
+        fh.write(struct.pack("<4q", cfg.d_in, cfg.hidden, cfg.embed_dim, cfg.n_classes))
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path):
-    """Inverse of save_checkpoint.  A malformed header, or a file length other
+def load_model(path):
+    """Inverse of save_model.  A malformed header, or a file length other
     than its dimensions imply, raises ValueError before any array is allocated."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-        header = fh.read(48)
-        if len(header) != 48:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        d_in, hidden, embed_dim, n_classes, step, epoch = struct.unpack("<6q", header)
-        if min(d_in, hidden, embed_dim, n_classes) < 1 or min(step, epoch) < 0:
-            raise ValueError(f"{path}: checkpoint header needs dimensions >= 1, counters >= 0")
+        magic = fh.read(len(MODEL_MAGIC))
+        if magic == b"PMCKPT01":
+            raise ValueError(f"{path}: old checkpoint format (weights plus Adam "
+                             "moments) is no longer read; retrain to write a model file")
+        if magic != MODEL_MAGIC:
+            raise ValueError(f"{path}: not a model file (bad magic)")
+        header = fh.read(32)
+        if len(header) != 32:
+            raise ValueError(f"{path}: truncated model header")
+        d_in, hidden, embed_dim, n_classes = struct.unpack("<4q", header)
+        if min(d_in, hidden, embed_dim, n_classes) < 1:
+            raise ValueError(f"{path}: model header needs dimensions >= 1")
         cfg = ModelConfig(d_in=d_in, hidden=hidden, embed_dim=embed_dim,
                           n_classes=n_classes)
-        body = 3 * 8 * cfg.n_params  # three float64 blocks
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        if remaining < body:
-            raise ValueError(f"{path}: truncated checkpoint")
-        if remaining > body:
-            raise ValueError(f"{path}: trailing bytes after checkpoint")
-        blocks = np.frombuffer(fh.read(), dtype="<f8").astype(float).reshape(3, -1)
-    template = ModelParams.init(cfg, np.random.default_rng(0))
-    params, m, v = (template.like(block) for block in blocks)
-    return Checkpoint(params=params, adam=AdamState(m=m, v=v, step=step), epoch=epoch)
+        if remaining < 8 * cfg.n_params:
+            raise ValueError(f"{path}: truncated model file")
+        if remaining > 8 * cfg.n_params:
+            raise ValueError(f"{path}: trailing bytes after model weights")
+        flat = np.frombuffer(fh.read(), dtype="<f8").astype(float)
+    return ModelParams.init(cfg, np.random.default_rng(0)).like(flat)
 
 
 @dataclass(frozen=True)
@@ -278,7 +273,7 @@ class TrainingRun:
         return self.rows[start:]
 
     def snapshot(self):
-        return Checkpoint.take(self.params, self.adam, self.epoch)
+        return Checkpoint(params=self.params.copy(), adam=self.adam.copy())
 
     def restore(self, ckpt: Checkpoint):
         self.params = ckpt.params.copy()
@@ -329,8 +324,8 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
 
     Repeats {explore each candidate per policy; fit GP; propose a new
     candidate; train exploit_epochs under it; track the model with the
-    lowest exploitation-phase mean loss} until the epoch budget is spent.
-    A phase starts only while run.epoch < max_epochs and is never cut.
+    lowest exploitation-phase mean loss}.  A round starts only if its exploit
+    can start under budget after its explores; no phase is cut.
     """
     run = TrainingRun(features, labels, model_cfg, opt_cfg,
                       pla_cfg.batch_spec, seed)
@@ -340,17 +335,15 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
     objectives = [None] * len(candidates)
     best_params = run.params.copy()
     best_loss = float("inf")
-    round_idx = 0
-    while True:
-        round_idx += 1
-        for i, w in enumerate(candidates):
-            if pla_cfg.re_explore_policy == "stale" and objectives[i] is not None:
-                continue
-            rec = explore(run, w, pla_cfg, candidate=i)
+    for round_idx in itertools.count(1):
+        todo = [i for i, obj in enumerate(objectives)
+                if pla_cfg.re_explore_policy == "all" or obj is None]
+        if run.epoch + len(todo) * pla_cfg.explore_epochs >= pla_cfg.max_epochs:
+            break
+        for i in todo:
+            rec = explore(run, candidates[i], pla_cfg, candidate=i)
             objectives[i] = rec.objective_value
             report.explorations.append((round_idx, i, rec))
-        if run.epoch >= pla_cfg.max_epochs:
-            break
         gp = fit_gp(candidates, objectives)
         w_new = propose(gp, pla_cfg.pool_size, bo_rng)
         candidates.append(w_new)
@@ -362,8 +355,6 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
         if phase_mean < best_loss:
             best_loss = phase_mean
             best_params = run.params.copy()
-        if run.epoch >= pla_cfg.max_epochs:
-            break
     report.best_loss = best_loss
     return RunResult(best_params=best_params, final_params=run.params,
                      report=report)

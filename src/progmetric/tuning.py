@@ -39,6 +39,9 @@ class TraceEntry:
 def run_tuning(seed, rounds=30, pool_size=256, n_initial=8,
                objective=quadratic_objective):
     """Initial design plus `rounds` EI proposals; returns the evaluation trace."""
+    if n_initial < 1 or rounds < 0 or pool_size < 1:
+        raise ValueError("run_tuning needs n_initial >= 1, rounds >= 0 and pool_size >= 1, "
+                         f"got {n_initial}, {rounds} and {pool_size}")
     rng = np.random.default_rng(seed)
     points = list(initial_design(rng, n_initial))
     values = [objective(w) for w in points]

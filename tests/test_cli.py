@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 
@@ -8,8 +9,8 @@ from progmetric import cli
 from progmetric.bayes_opt import NumericalError
 from progmetric.cli import main
 from progmetric.config import config_from_dict, load_config, ConfigError
-from progmetric.model import NonFiniteGradientError
-from progmetric.trainer import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from progmetric.model import ModelConfig, NonFiniteGradientError
+from progmetric.trainer import MODEL_MAGIC, load_model, save_model
 
 
 def write_config(tmp_path, **over):
@@ -209,6 +210,39 @@ def test_train_config_epochs_string_exits_1(tmp_path, capsys):
     assert "epochs: expected null or an integer >= 1" in capsys.readouterr().err
 
 
+def test_train_pla_budget_without_an_exploit_exits_1(tmp_path, capsys):
+    ds = gen_dataset(tmp_path, write_config(tmp_path))
+    pla = {"max_epochs": 4, "initial_design": 2, "explore_epochs": 2,
+           "objective_split": 1, "exploit_epochs": 3}
+    cfg = write_config(tmp_path, pla=pla)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--mode", "pla"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: pla: max_epochs must exceed initial_design * explore_epochs")
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_train_pla_default_config_ends_on_its_last_exploit(tmp_path):
+    # PlaConfig() on the default data: budget 120, 4 initial candidates,
+    # explore 6, exploit 30, policy "all"; a third round (6 candidates,
+    # 36 epochs) would leave no room for an exploit, so it is skipped
+    cfg = tmp_path / "default.json"
+    cfg.write_text("{}")
+    ds = gen_dataset(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--out", str(out)]) == 0
+    phases = [line.split(",")[0]
+              for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert [(k, len(list(g))) for k, g in itertools.groupby(phases)] == [
+        ("explore", 24), ("exploit", 30), ("explore", 30), ("exploit", 30)]
+    explorations = (out / "explorations.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in explorations] == ["1"] * 4 + ["2"] * 5
+    # the default-size model file: magic, four dimensions, 5,280 weights
+    assert (out / "checkpoint.bin").stat().st_size == 8 + 32 + 8 * 5280 == 42280
+
+
 def test_train_missing_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg),
@@ -284,9 +318,9 @@ def test_eval_nonfinite_weights_exits_1(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--dataset", str(ds),
                  "--mode", "ce_only"]) == 0
     ckpt_path = tmp_path / "out" / "checkpoint.bin"
-    ckpt = load_checkpoint(ckpt_path)
-    ckpt.params.w_trunk[0, 0] = np.nan
-    save_checkpoint(ckpt_path, ckpt)
+    params = load_model(ckpt_path)
+    params.w_trunk[0, 0] = np.nan
+    save_model(ckpt_path, params)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt_path),
                  "--dataset", str(ds)]) == 1
@@ -296,15 +330,30 @@ def test_eval_nonfinite_weights_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("header", [
     struct.pack("<3q", 6, 8, 8),            # file ends inside the header
-    struct.pack("<6q", 0, 8, 8, 4, 0, 0),   # zero input dimension
+    struct.pack("<4q", 0, 8, 8, 4),         # zero input dimension
 ], ids=["cut_header", "zero_d_in"])
 def test_eval_malformed_checkpoint_header_exits_1(tmp_path, capsys, header):
     ds = gen_dataset(tmp_path, write_config(tmp_path))
     path = tmp_path / "bad.bin"
-    path.write_bytes(CHECKPOINT_MAGIC + header)
+    path.write_bytes(MODEL_MAGIC + header)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(path), "--dataset", str(ds)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_eval_old_checkpoint_format_exits_1(tmp_path, capsys):
+    # a complete file in the earlier layout: <6q dimensions, Adam step and
+    # epoch count, then weights, first and second moments
+    ds = gen_dataset(tmp_path, write_config(tmp_path))
+    n_params = ModelConfig(d_in=6, hidden=8, embed_dim=8, n_classes=8).n_params
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"PMCKPT01" + struct.pack("<6q", 6, 8, 8, 8, 30, 13)
+                     + b"\0" * (3 * 8 * n_params))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--dataset", str(ds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: old checkpoint format")
+    assert "weights plus Adam moments" in err
 
 
 # --------------------------------------------------------------- tune-demo
@@ -316,6 +365,20 @@ def test_tune_demo_trace_counting(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "index,phase,lambda,margin,k,p,value,best_so_far"
     assert len(lines) == 1 + 4 + 1  # header + initial design + one proposal
+
+
+@pytest.mark.parametrize("flags", [
+    ["--initial", "0", "--rounds", "0"],
+    ["--initial", "0"],
+    ["--rounds", "-1"],
+    ["--pool", "0"],
+], ids=["no_evaluations", "no_initial", "negative_rounds", "empty_pool"])
+def test_tune_demo_bad_counts_exit_1(tmp_path, capsys, flags):
+    out = tmp_path / "trace.csv"
+    assert main(["tune-demo", "--seed", "0", "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: run_tuning needs n_initial >= 1, rounds >= 0 and pool_size >= 1")
+    assert not out.exists()
 
 
 def test_tune_demo_numerical_error_exits_2(capsys, monkeypatch):
@@ -347,3 +410,19 @@ def test_report_summarizes_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "explore=" in out and "exploit=" in out
     assert "lowest epoch mean total" in out
+
+
+@pytest.mark.parametrize("text", ["", "a,b\n1,2\n"], ids=["empty", "no_phase_column"])
+def test_report_not_a_run_report_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "report.csv"
+    path.write_text(text)
+    assert main(["report", "--report", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not a run report")
+
+
+def test_report_short_row_exits_1(tmp_path, capsys):
+    path = tmp_path / "report.csv"
+    header = "phase,candidate,lambda,margin,k,p,lr,mean_ce,mean_gbh,mean_total"
+    path.write_text(f"{header}\ntrain,0,1,0.2,1,1,0.001,0.5,0,0.5\ntrain,0,1,0.2\n")
+    assert main(["report", "--report", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 3 does not have")

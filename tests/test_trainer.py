@@ -1,3 +1,4 @@
+import itertools
 import struct
 from dataclasses import fields
 
@@ -9,16 +10,15 @@ from progmetric.model import PARAM_FIELDS, ModelConfig, OptimizerConfig
 from progmetric.sampler import BatchSpec
 from progmetric.synthetic import SynthSpec, generate
 from progmetric.trainer import (
-    CHECKPOINT_MAGIC,
-    Checkpoint,
+    MODEL_MAGIC,
     PlaConfig,
     TrainingRun,
     batch_loss_and_grads,
     explore,
-    load_checkpoint,
+    load_model,
     run_fixed,
     run_pla,
-    save_checkpoint,
+    save_model,
 )
 
 MODEL = ModelConfig(d_in=6, hidden=8, embed_dim=8)
@@ -68,7 +68,7 @@ def test_explore_restores_bit_exactly():
     assert adam_equal(run.adam, before.adam)
     assert rec.mean_loss_first_half > 0
     # the epoch counter is global and keeps advancing through exploration
-    assert run.epoch == before.epoch + 2
+    assert run.epoch == 2 + 2
 
 
 def test_explore_on_frozen_model_scores_near_expected_drop():
@@ -201,57 +201,70 @@ def test_epoch_is_the_length_of_the_run_history():
     assert run.epoch == len(run.rows) == 7
     assert [r.phase for r in run.rows] == (["exploit"] * 2 + ["explore"] * 2
                                            + ["train"] + ["explore"] * 2)
-    assert run.snapshot().epoch == 7
 
 
 # ---------------------------------------------------------------- pla loop
 
+def phase_runs(rows):
+    """(phase, epochs) of each maximal run of same-phase rows: an exploit
+    phase, or a whole explore round over its candidates."""
+    return [(k, len(list(g))) for k, g in itertools.groupby(r.phase for r in rows)]
+
+
 def test_pla_report_structure_and_budget():
     x, y = small_data()
-    cfg = small_pla()
-    res = run_pla(x, y, cfg, MODEL, OptimizerConfig(), seed=4)
-    rep = res.report
-    assert rep.total_epochs == len(rep.rows)
-    assert rep.total_epochs >= cfg.max_epochs
-    n_candidates = cfg.initial_design + len(rep.chosen)
-    assert rep.total_epochs <= cfg.max_epochs + cfg.explore_epochs * n_candidates
-    assert rep.explorations and rep.chosen
-    phases = {r.phase for r in rep.rows}
-    assert phases == {"explore", "exploit"}
-    # the tracked best equals the lowest exploitation-phase mean loss
-    exploit_rows = [r for r in rep.rows if r.phase == "exploit"]
-    means = []
-    for i in range(0, len(exploit_rows), cfg.exploit_epochs):
-        chunk = exploit_rows[i:i + cfg.exploit_epochs]
-        means.append(float(np.mean([r.mean_total for r in chunk])))
-    assert rep.best_loss == pytest.approx(min(means), rel=1e-12)
+    for policy in ("all", "stale"):
+        cfg = small_pla(re_explore_policy=policy)
+        rep = run_pla(x, y, cfg, MODEL, OptimizerConfig(), seed=4).report
+        assert rep.total_epochs == len(rep.rows)
+        runs = phase_runs(rep.rows)
+        # rounds alternate explore and exploit, and the run ends on an exploit
+        assert [k for k, _ in runs] == ["explore", "exploit"] * len(rep.chosen)
+        assert rep.chosen and rep.explorations
+        rounds = [rnd for rnd, _, _ in rep.explorations]
+        assert rounds == sorted(rounds) and rounds[-1] == len(rep.chosen)
+        assert len(rep.explorations) * cfg.explore_epochs == sum(
+            n for k, n in runs if k == "explore")
+        # the tracked best equals the lowest exploitation-phase mean loss
+        exploit_rows = [r for r in rep.rows if r.phase == "exploit"]
+        means = []
+        for i in range(0, len(exploit_rows), cfg.exploit_epochs):
+            chunk = exploit_rows[i:i + cfg.exploit_epochs]
+            means.append(float(np.mean([r.mean_total for r in chunk])))
+        assert rep.best_loss == pytest.approx(min(means), rel=1e-12)
 
 
 def test_pla_phase_starts_only_under_budget_and_is_never_cut():
     x, y = small_data()
     configs = [{}, dict(max_epochs=7), dict(max_epochs=20, exploit_epochs=5),
-               dict(max_epochs=16, initial_design=3)]
+               dict(max_epochs=16, initial_design=3), dict(max_epochs=5)]
     for policy in ("all", "stale"):
         for over in configs:
             cfg = small_pla(re_explore_policy=policy, **over)
-            rows = run_pla(x, y, cfg, MODEL, OptimizerConfig(), seed=2).report.rows
-            # the last phase is the trailing run of rows of one kind: an
-            # exploit phase, or a whole explore round over its candidates
-            kinds = [r.phase for r in rows]
-            last_len = len(kinds) - next(
-                (i for i in range(len(kinds), 0, -1) if kinds[i - 1] != kinds[-1]), 0)
-            if kinds[-1] == "exploit":
-                assert last_len == cfg.exploit_epochs
-            assert cfg.max_epochs <= len(rows) < cfg.max_epochs + last_len
+            rep = run_pla(x, y, cfg, MODEL, OptimizerConfig(), seed=2).report
+            runs = phase_runs(rep.rows)
+            assert runs[-1] == ("exploit", cfg.exploit_epochs)
+            epoch = 0
+            for rnd, (explore_run, exploit_run) in enumerate(zip(runs[::2], runs[1::2])):
+                n_todo = cfg.initial_design + rnd if policy == "all" or rnd == 0 else 1
+                assert explore_run == ("explore", n_todo * cfg.explore_epochs)
+                assert exploit_run == ("exploit", cfg.exploit_epochs)
+                # the round's exploit starts under budget
+                epoch += explore_run[1]
+                assert epoch < cfg.max_epochs
+                epoch += cfg.exploit_epochs
+            assert epoch == rep.total_epochs
+            # the round the run skipped would have left no room for an exploit
+            n_todo = cfg.initial_design + len(rep.chosen) if policy == "all" else 1
+            assert epoch + n_todo * cfg.explore_epochs >= cfg.max_epochs
 
 
-def test_pla_budget_exhaustion_returns_initialization():
-    x, y = small_data()
-    cfg = small_pla(max_epochs=1)
-    res = run_pla(x, y, cfg, MODEL, OptimizerConfig(), seed=6)
-    assert not res.report.chosen
-    assert all(r.phase == "explore" for r in res.report.rows)
-    assert params_equal(res.final_params, res.best_params)
+def test_pla_config_rejects_budget_without_an_exploit():
+    # initial_design 2 x explore_epochs 2: a budget of 4 leaves no room for
+    # the first exploit phase, a budget of 5 does
+    with pytest.raises(ValueError, match="no exploit phase can start"):
+        small_pla(max_epochs=4)
+    assert small_pla(max_epochs=5).max_epochs == 5
 
 
 def test_pla_stale_policy_explores_each_candidate_once():
@@ -271,40 +284,35 @@ def test_pla_config_validation():
         small_pla(re_explore_policy="sometimes")
 
 
-# ------------------------------------------------------------- checkpoints
+# ------------------------------------------------------------- model file
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     run = make_run(9)
     run.train_epochs("composite_fixed", W, 3, phase="exploit", candidate=0)
-    ckpt = run.snapshot()
     path = tmp_path / "model.bin"
-    save_checkpoint(path, ckpt)
-    back = load_checkpoint(path)
-    assert params_equal(back.params, ckpt.params)
-    assert adam_equal(back.adam, ckpt.adam)
-    assert back.epoch == ckpt.epoch
+    save_model(path, run.params)
+    back = load_model(path)
+    assert back.config == run.params.config
+    assert params_equal(back, run.params)
 
 
-def hand_checkpoint_bytes(cfg, step, epoch, blocks):
-    """Magic, the <6q header, then each block's fields as row-major <f8."""
-    out = CHECKPOINT_MAGIC + struct.pack("<6q", cfg.d_in, cfg.hidden, cfg.embed_dim,
-                                         cfg.n_classes, step, epoch)
-    for block in blocks:
-        for name in PARAM_FIELDS:
-            out += np.asarray(block[name], dtype="<f8").tobytes(order="C")
+def hand_model_bytes(cfg, arrays):
+    """Magic, the <4q dimensions, then each field as row-major <f8."""
+    out = MODEL_MAGIC + struct.pack("<4q", cfg.d_in, cfg.hidden, cfg.embed_dim,
+                                    cfg.n_classes)
+    for name in PARAM_FIELDS:
+        out += np.asarray(arrays[name], dtype="<f8").tobytes(order="C")
     return out
 
 
 def test_checkpoint_bytes_match_hand_built_layout(tmp_path):
     run = make_run(12)
     run.train_epochs("composite_fixed", W, 2, phase="exploit", candidate=0)
-    ckpt = run.snapshot()
     path = tmp_path / "model.bin"
-    save_checkpoint(path, ckpt)
-    blocks = [{name: getattr(p, name) for name in PARAM_FIELDS}
-              for p in (ckpt.params, ckpt.adam.m, ckpt.adam.v)]
-    assert path.read_bytes() == hand_checkpoint_bytes(
-        run.model_cfg, ckpt.adam.step, ckpt.epoch, blocks)
+    save_model(path, run.params)
+    arrays = {name: getattr(run.params, name) for name in PARAM_FIELDS}
+    assert path.read_bytes() == hand_model_bytes(run.model_cfg, arrays)
+    assert len(path.read_bytes()) == 8 + 32 + 8 * run.model_cfg.n_params
 
 
 def test_hand_built_checkpoint_loads(tmp_path):
@@ -312,78 +320,71 @@ def test_hand_built_checkpoint_loads(tmp_path):
     shapes = {"w_trunk": (5, 7), "b_trunk": (7,), "w_trip": (7, 3), "b_trip": (3,),
               "w_soft": (7, 3), "b_soft": (3,), "w_cls": (3, 4), "b_cls": (4,)}
     rng = np.random.default_rng(13)
-    blocks = [{name: rng.normal(size=shapes[name]) for name in PARAM_FIELDS}
-              for _ in range(3)]
+    arrays = {name: rng.normal(size=shapes[name]) for name in PARAM_FIELDS}
     path = tmp_path / "hand.bin"
-    path.write_bytes(hand_checkpoint_bytes(cfg, 41, 17, blocks))
-    back = load_checkpoint(path)
-    assert back.params.config == cfg
-    assert (back.adam.step, back.epoch) == (41, 17)
-    for block, got in zip(blocks, (back.params, back.adam.m, back.adam.v)):
-        for name in PARAM_FIELDS:
-            assert np.array_equal(getattr(got, name), block[name])
+    path.write_bytes(hand_model_bytes(cfg, arrays))
+    back = load_model(path)
+    assert back.config == cfg
+    for name in PARAM_FIELDS:
+        assert np.array_equal(getattr(back, name), arrays[name])
 
 
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
     with pytest.raises(ValueError, match="bad magic"):
-        load_checkpoint(path)
+        load_model(path)
 
 
 def test_checkpoint_truncated(tmp_path):
     run = make_run(10)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, run.snapshot())
+    save_model(path, run.params)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="truncated"):
-        load_checkpoint(path)
+        load_model(path)
 
 
 def test_checkpoint_cut_inside_its_header(tmp_path):
     run = make_run(10)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, run.snapshot())
+    save_model(path, run.params)
     data = path.read_bytes()
-    for cut in range(len(CHECKPOINT_MAGIC), len(CHECKPOINT_MAGIC) + 48):
+    for cut in range(len(MODEL_MAGIC), len(MODEL_MAGIC) + 32):
         path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match="truncated checkpoint header"):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match="truncated model header"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("header", [
-    (0, 8, 8, 4, 0, 0),
-    (6, 8, 8, 0, 0, 0),
-    (6, -8, 8, 4, 0, 0),
-    (6, 8, 8, 4, -1, 0),
-    (6, 8, 8, 4, 0, -3),
-], ids=["zero_d_in", "no_classes", "negative_hidden", "negative_step",
-        "negative_epoch"])
+    (0, 8, 8, 4),
+    (6, 8, 8, 0),
+    (6, -8, 8, 4),
+], ids=["zero_d_in", "no_classes", "negative_hidden"])
 def test_checkpoint_header_out_of_range(tmp_path, header):
     path = tmp_path / "bad.bin"
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<6q", *header) + b"\0" * 64)
+    path.write_bytes(MODEL_MAGIC + struct.pack("<4q", *header) + b"\0" * 64)
     with pytest.raises(ValueError, match="header needs dimensions"):
-        load_checkpoint(path)
+        load_model(path)
 
 
 def test_checkpoint_length_checked_before_allocation(tmp_path):
     # dimensions implying about 70 TB of weights; the short file is refused
     # from its length alone
     path = tmp_path / "huge.bin"
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<6q", 2**40, 8, 8, 4, 0, 0)
-                     + b"\0" * 64)
-    with pytest.raises(ValueError, match="truncated checkpoint"):
-        load_checkpoint(path)
+    path.write_bytes(MODEL_MAGIC + struct.pack("<4q", 2**40, 8, 8, 4) + b"\0" * 64)
+    with pytest.raises(ValueError, match="truncated model file"):
+        load_model(path)
 
 
 def test_checkpoint_trailing_bytes(tmp_path):
     run = make_run(10)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, run.snapshot())
+    save_model(path, run.params)
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing bytes"):
-        load_checkpoint(path)
+        load_model(path)
 
 
 def test_csv_headers():
