@@ -22,6 +22,7 @@ from .config import ConfigError, RunConfig, load_config
 from .evaluation import evaluate, metrics_csv_lines, pca_apply, pca_reduce
 from .losses import HyperParams
 from .model import NonFiniteGradientError, forward
+from .sampler import BatchProducerError
 from .trainer import (
     TRAIN_MODES,
     RunReport,
@@ -201,7 +202,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, BatchProducerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, NonFiniteGradientError) as exc:

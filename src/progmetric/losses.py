@@ -144,10 +144,12 @@ def triplet_layout(labels):
                          not_pos=not_pos, same=same, n_pos=n_pos, n_neg=n_neg)
 
 
-def _order_stat(key, col):
+def _order_stat(key, col, excluded=None):
     """Per row, the index of the col-th smallest entry of key (col: one per row).
 
     Equal values rank in index order, as a stable sort would place them.
+    excluded, when given, marks entries that rank as +inf; key is read, not
+    copied, and only the sort works on a masked copy, in place.
     A value-only sort finds the col-th value; the row's first entry equal
     to it is the answer unless smaller-index ties must be skipped.  That
     happens exactly where the sorted row repeats the col-th value just
@@ -155,13 +157,26 @@ def _order_stat(key, col):
     their equal ones.
     """
     rows = np.arange(len(key))
-    srt = np.sort(key, axis=1)
+    if excluded is None:
+        srt = np.sort(key, axis=1)
+    else:
+        srt = key.copy()
+        np.copyto(srt, np.inf, where=excluded)
+        srt.sort(axis=1)
     kth = srt[rows, col]
     eq = key == kth[:, None]
+    if excluded is not None:  # an excluded entry equals kth where kth is +inf
+        eq &= ~excluded
+        inf_rows = np.isposinf(kth)
+        if inf_rows.any():
+            eq[inf_rows] |= excluded[inf_rows]
     idx = np.argmax(eq, axis=1)
     walk = np.flatnonzero((col > 0) & (srt[rows, col - 1] == kth))
     if walk.size:
-        rank = col[walk] - np.count_nonzero(key[walk] < kth[walk, None], axis=1)
+        below = key[walk] < kth[walk, None]
+        if excluded is not None:
+            below &= ~excluded[walk]
+        rank = col[walk] - np.count_nonzero(below, axis=1)
         idx[walk] = np.argmax(np.cumsum(eq[walk], axis=1) > rank[:, None], axis=1)
     return idx
 
@@ -184,9 +199,7 @@ def gbh_select(dist, labels, k, p):
     pos_col = _order_stat(np.where(layout.not_pos, np.inf, -dist.take(layout.cells)),
                           np.minimum(k, layout.n_pos) - 1)
     pos_idx = layout.members[np.arange(n), pos_col]
-    neg_key = dist.copy()
-    np.copyto(neg_key, np.inf, where=layout.same)
-    neg_idx = _order_stat(neg_key, np.minimum(p, layout.n_neg) - 1)
+    neg_idx = _order_stat(dist, np.minimum(p, layout.n_neg) - 1, layout.same)
     return pos_idx, neg_idx
 
 

@@ -250,26 +250,31 @@ class TrainingRun:
         return self.class_ids[idx]
 
     def train_epochs(self, mode, w: HyperParams, n_epochs, phase, candidate):
-        """Run n_epochs of mini-batch training; appends and returns their stats."""
+        """Run n_epochs of mini-batch training; appends and returns their stats.
+
+        The sampler draws the call's batches ahead, on a second process when
+        it can; the batches are the same either way.
+        """
         start = len(self.rows)
-        for _ in range(n_epochs):
-            lr = lr_schedule(self.epoch, self.opt_cfg)
-            beta1 = beta1_schedule(self.epoch, self.opt_cfg)
-            acc = np.zeros(3)
-            for _ in range(self.sampler.batches_per_epoch):
-                idx = self.sampler.sample()
-                x = self.features[idx]
-                emb, logits, cache = forward_with_cache(self.params, x)
-                breakdown, d_emb, d_logits = batch_loss_and_grads(
-                    mode, emb, logits, self.class_ids_for(idx), w, self.layout)
-                backward(self.params, cache, d_emb, d_logits, out=self.grads)
-                adam_step(self.params, self.grads, self.adam, lr, beta1,
-                          self.opt_cfg)
-                acc += (breakdown.softmax_term, breakdown.gbh_term, breakdown.total)
-            acc /= self.sampler.batches_per_epoch
-            self.rows.append(EpochStats(phase=phase, candidate=candidate, w=w, lr=lr,
-                                        mean_ce=acc[0], mean_gbh=acc[1],
-                                        mean_total=acc[2]))
+        with self.sampler.drawing_ahead(n_epochs * self.sampler.batches_per_epoch):
+            for _ in range(n_epochs):
+                lr = lr_schedule(self.epoch, self.opt_cfg)
+                beta1 = beta1_schedule(self.epoch, self.opt_cfg)
+                acc = np.zeros(3)
+                for _ in range(self.sampler.batches_per_epoch):
+                    idx = self.sampler.sample()
+                    x = self.features[idx]
+                    emb, logits, cache = forward_with_cache(self.params, x)
+                    breakdown, d_emb, d_logits = batch_loss_and_grads(
+                        mode, emb, logits, self.class_ids_for(idx), w, self.layout)
+                    backward(self.params, cache, d_emb, d_logits, out=self.grads)
+                    adam_step(self.params, self.grads, self.adam, lr, beta1,
+                              self.opt_cfg)
+                    acc += (breakdown.softmax_term, breakdown.gbh_term, breakdown.total)
+                acc /= self.sampler.batches_per_epoch
+                self.rows.append(EpochStats(phase=phase, candidate=candidate, w=w, lr=lr,
+                                            mean_ce=acc[0], mean_gbh=acc[1],
+                                            mean_total=acc[2]))
         return self.rows[start:]
 
     def snapshot(self):

@@ -1,11 +1,13 @@
 import itertools
 import json
+import os
+import signal
 import struct
 
 import numpy as np
 import pytest
 
-from progmetric import cli
+from progmetric import cli, sampler
 from progmetric.bayes_opt import NumericalError
 from progmetric.cli import main
 from progmetric.config import config_from_dict, load_config, ConfigError
@@ -262,6 +264,27 @@ def test_train_nonfinite_gradient_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["train", "--config", str(cfg), "--dataset", str(ds)]) == 2
     err = capsys.readouterr().err
     assert err == "error: non-finite gradient encountered\n"
+
+
+def test_train_batch_producer_killed_exits_1(tmp_path, capsys, monkeypatch, forks):
+    cfg = write_config(tmp_path)
+    ds = gen_dataset(tmp_path, cfg)
+    capsys.readouterr()
+    parent, draw = os.getpid(), sampler._draw
+
+    def draw_then_die(*args):
+        if os.getpid() != parent:  # in the producer: die mid-block
+            os.kill(os.getpid(), signal.SIGKILL)
+        return draw(*args)
+
+    monkeypatch.setattr(sampler, "_draw", draw_then_die)
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the batch producer (pid ")
+    assert "was killed by signal 9" in err and "Traceback" not in err
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -------------------------------------------------------------------- eval

@@ -1,9 +1,14 @@
+import contextlib
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progmetric.sampler import (
+    BatchProducerError,
     BatchSpec,
     InsufficientDataError,
     PKSampler,
@@ -135,3 +140,114 @@ def test_identity_selection_uniformity():
     expect = n * 0.5
     sigma = np.sqrt(n * 0.5 * 0.5)
     assert np.all(np.abs(counts - expect) <= 3 * sigma)
+
+
+# ------------------------------------------------------ drawing ahead (fork)
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError after `seconds`, and again every second after
+    that, so a wait that never returns cannot hang cleanup either."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def ahead_sampler(seed=11, spec=BatchSpec(4, 4)):
+    return PKSampler(shuffled_labels(5), spec, seed)
+
+
+def test_producer_draws_equal_in_process_draws_across_blocks(forks):
+    sampler, ref = ahead_sampler(), ahead_sampler()
+    for n in (5, 1, 17, 40):
+        with sampler.drawing_ahead(n):
+            for _ in range(n):
+                assert np.array_equal(sampler.sample(), ref.sample())
+    # draws outside a block go on with the same stream
+    for _ in range(3):
+        assert np.array_equal(sampler.sample(), ref.sample())
+    assert len(forks) == 4
+
+
+@pytest.mark.parametrize("k", (0, 1, 6))
+def test_stream_resumes_after_a_block_left_at_batch_k(forks, k):
+    sampler, ref = ahead_sampler(), ahead_sampler()
+    with pytest.raises(KeyError):
+        with sampler.drawing_ahead(500):
+            for _ in range(k):
+                assert np.array_equal(sampler.sample(), ref.sample())
+            raise KeyError("training failed mid-block")
+    assert sampler.rng.bit_generator.state == ref.rng.bit_generator.state
+    for n in (3, 8):
+        with sampler.drawing_ahead(n):
+            for _ in range(n):
+                assert np.array_equal(sampler.sample(), ref.sample())
+    assert len(forks) == 3
+
+
+def test_sampling_past_the_block_count_draws_in_process(forks):
+    sampler, ref = ahead_sampler(), ahead_sampler()
+    with sampler.drawing_ahead(4):
+        for _ in range(9):
+            assert np.array_equal(sampler.sample(), ref.sample())
+    assert len(forks) == 1
+
+
+def test_producer_batches_are_writable_int_arrays(forks):
+    sampler = ahead_sampler()
+    with sampler.drawing_ahead(2):
+        idx = sampler.sample()
+        idx[0] = -1
+    assert idx.dtype == np.dtype(int) and idx.shape == (16,)
+
+
+def test_nested_and_interleaved_blocks_finish(forks):
+    # each producer must hold no other sampler's read end: if it did, ending
+    # the other block would not stop that block's producer, which blocks on
+    # its full pipe, and reaping it would hang
+    a, b, ref_a, ref_b = (ahead_sampler(seed) for seed in (1, 2, 1, 2))
+    with time_limit(30):
+        with a.drawing_ahead(3000):
+            a.sample(), ref_a.sample()
+            with b.drawing_ahead(3000):
+                b.sample(), ref_b.sample()
+        outer = a.drawing_ahead(3000)
+        outer.__enter__()
+        with b.drawing_ahead(3000):
+            b.sample(), ref_b.sample()
+            a.sample(), ref_a.sample()
+            outer.__exit__(None, None, None)
+            assert np.array_equal(b.sample(), ref_b.sample())
+    assert np.array_equal(a.sample(), ref_a.sample())
+    assert len(forks) == 4
+
+
+def test_killed_producer_raises_typed_error_and_is_reaped(forks):
+    sampler, ref = ahead_sampler(), ahead_sampler()
+    with pytest.raises(BatchProducerError, match="killed by signal 9"):
+        with sampler.drawing_ahead(100_000):
+            assert np.array_equal(sampler.sample(), ref.sample())
+            os.kill(forks[0], signal.SIGKILL)
+            for _ in range(100_000):
+                sampler.sample()
+                ref.sample()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # the generator holds the state after the last batch read
+    assert np.array_equal(sampler.sample(), ref.sample())
+
+
+def test_one_usable_cpu_draws_in_process(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    sampler, ref = ahead_sampler(), ahead_sampler()
+    with sampler.drawing_ahead(5):
+        for _ in range(5):
+            assert np.array_equal(sampler.sample(), ref.sample())
+    assert forks == []

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import os
 import struct
 from dataclasses import fields
 
@@ -8,7 +10,8 @@ import pytest
 from progmetric.losses import HyperParams, TripletLayout, triplet_layout
 from progmetric.model import PARAM_FIELDS, ModelConfig, OptimizerConfig
 from progmetric.sampler import BatchSpec
-from progmetric.synthetic import SynthSpec, generate
+from progmetric.synthetic import SynthSpec, generate, split, train_partition
+from progmetric import trainer
 from progmetric.trainer import (
     MODEL_MAGIC,
     PlaConfig,
@@ -101,6 +104,64 @@ def test_run_pla_bit_reproducible():
         b.report.exploration_csv_lines())
     assert params_equal(a.final_params, b.final_params)
     assert params_equal(a.best_params, b.best_params)
+
+
+# ------------------------------------------- batches drawn on a second process
+
+@functools.cache
+def desk_data(config):
+    """Training data of a desk-scale config: the CLI default data for
+    PlaConfig(), criterion 8's split of its seed-7 data otherwise."""
+    if config == "default":
+        ds = generate(SynthSpec(n_identities=64, samples_per_identity=16, dim=32))
+        return ds.features, ds.labels
+    ds = generate(SynthSpec(n_identities=64, samples_per_identity=16, dim=32,
+                            center_scale=10.0, intra_spread=1.0,
+                            hard_negative_fraction=0.10, outlier_fraction=0.10,
+                            overhard_fraction=0.05, seed=7))
+    return train_partition(split(ds, 4, np.random.default_rng(1)))
+
+
+DESK_PLA = {"default": PlaConfig(),
+            "criterion8": PlaConfig(max_epochs=200, explore_epochs=4, objective_split=2,
+                                    exploit_epochs=60, batch_spec=BatchSpec(16, 8),
+                                    re_explore_policy="stale")}
+
+
+@pytest.mark.parametrize("config", sorted(DESK_PLA))
+@pytest.mark.parametrize("seed", range(5))
+def test_run_pla_same_with_one_cpu_as_with_a_producer(monkeypatch, forks, config, seed):
+    x, y = desk_data(config)
+    model_cfg = ModelConfig(d_in=32, hidden=64, embed_dim=32)
+    two = run_pla(x, y, DESK_PLA[config], model_cfg, OptimizerConfig(), seed=seed)
+    # one producer per explore and exploit phase
+    assert len(forks) == len(two.report.explorations) + len(two.report.chosen)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = run_pla(x, y, DESK_PLA[config], model_cfg, OptimizerConfig(), seed=seed)
+    assert len(forks) == len(two.report.explorations) + len(two.report.chosen)
+    assert one.report.rows == two.report.rows
+    assert one.report.explorations == two.report.explorations
+    assert one.report.chosen == two.report.chosen
+    assert one.report.best_loss == two.report.best_loss
+    assert params_equal(one.best_params, two.best_params)
+    assert params_equal(one.final_params, two.final_params)
+
+
+def test_training_that_raises_mid_block_leaves_no_process(monkeypatch, forks):
+    calls = []
+
+    def failing_step(*args):
+        calls.append(1)
+        if len(calls) == 7:
+            raise FloatingPointError("step 7 failed")
+
+    monkeypatch.setattr(trainer, "adam_step", failing_step)
+    x, y = small_data()
+    with pytest.raises(FloatingPointError):
+        run_fixed(x, y, "batch_hard", W, 40, MODEL, OptimizerConfig(), BATCH, seed=0)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -------------------------------------------------------------- fixed modes
