@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import ndtr
 
 from .losses import HyperParams, K_RANGE, LAMBDA_RANGE, MARGIN_RANGE, P_RANGE
+from .special import ndtr
 
 # Box bounds in vector order (lam, margin, k, p).
 BOX_LOW = np.array([LAMBDA_RANGE[0], MARGIN_RANGE[0], K_RANGE[0], P_RANGE[0]], dtype=float)
@@ -97,11 +96,30 @@ def kernel(w1, w2, bandwidth):
     bandwidth = np.asarray(bandwidth, dtype=float)
     if np.any(bandwidth <= 0.0):
         raise ConfigurationError("bandwidth entries must be positive")
-    diff = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
     d = len(bandwidth)
     const = (2.0 * np.pi) ** (-d / 2.0) / np.sqrt(np.prod(bandwidth))
-    q = np.sum(diff * diff / bandwidth, axis=-1)
+    # Coordinate by coordinate over whole arrays, added left to right: the
+    # order numpy's sum uses along a last axis shorter than 8, without its
+    # per-element inner loop over that axis.
+    diff = w1[..., 0] - w2[..., 0]
+    q = diff * diff / bandwidth[0]
+    for j in range(1, d):
+        diff = w1[..., j] - w2[..., j]
+        q = q + diff * diff / bandwidth[j]
     return const * np.exp(-0.5 * q)
+
+
+def _solve_lower(chol, b):
+    """chol^-1 b for a lower-triangular chol, by LAPACK's general solver.
+
+    Reversed rows and columns make the system upper triangular, so partial
+    pivoting never swaps rows and the solve is a plain substitution.  The
+    lower system itself would pivot, losing accuracy on a nearly singular
+    Gram matrix.
+    """
+    return np.linalg.solve(chol[::-1, ::-1], b[::-1])[::-1]
 
 
 # Jitters tried after the configured one fails, as multiples of the Gram
@@ -136,8 +154,9 @@ class GPState:
         else:
             raise NumericalError("Gram matrix ill-conditioned after jitter")
         self.jitter = jitter
-        self._alpha = cho_solve((self._chol, True), self.values - self.mean_level,
-                                check_finite=False)
+        # chol.T is upper triangular already, so the solve never pivots on it
+        self._alpha = np.linalg.solve(
+            self._chol.T, _solve_lower(self._chol, self.values - self.mean_level))
 
     def posterior(self, candidates):
         """Posterior (mean, variance >= 0): floats at one candidate (a vector
@@ -147,7 +166,7 @@ class GPState:
         stack = np.atleast_2d(v)
         k_star = kernel(stack[:, None], self.points, self.bandwidth)
         mean = self.mean_level + k_star @ self._alpha
-        beta = solve_triangular(self._chol, k_star.T, lower=True, check_finite=False)
+        beta = _solve_lower(self._chol, k_star.T)
         var = np.maximum(kernel(stack, stack, self.bandwidth) - np.sum(beta * beta, axis=0),
                          0.0)
         if v.ndim == 1:

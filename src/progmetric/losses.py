@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+from .special import expit
 
 DIST_EPS = 1e-12
 
@@ -269,7 +270,8 @@ def _triplet_grad(embeddings, labels, k, p, margin, outer):
     dim = x.shape[1]
     targets = np.stack([rows, pos_idx, neg_idx], axis=1)
     cells = (targets[:, :, None] * dim + np.arange(dim)).ravel()
-    terms = np.stack([c * (u_ab - u_an), -(c * u_ab), c * u_an], axis=1)
+    # each row's three terms side by side: the (anchor, slot, column) order
+    terms = np.concatenate([c * (u_ab - u_an), -(c * u_ab), c * u_an], axis=1)
     grad = np.bincount(cells, weights=terms.ravel(), minlength=x.size)
     return value, grad.reshape(x.shape)
 

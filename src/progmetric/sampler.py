@@ -78,6 +78,14 @@ def batches_per_epoch(dataset_size, spec: BatchSpec):
     return math.ceil(dataset_size / spec.batch_size)
 
 
+# Fewest batches a block draws on a forked producer.  Forking a training
+# process, with its exit and reap, takes 4-6 ms on a two-core x86-64 host,
+# as long as about 16 in-process draws of a 16 x 8 batch (260-280 us each):
+# a shorter block would spend more on the fork than its draws take off the
+# training loop.
+MIN_FORKED_BATCHES = 16
+
+
 class PKSampler:
     """Stateful sampler owning its RNG; one instance per training run.
 
@@ -122,11 +130,12 @@ class PKSampler:
         batches equal in-process draws.  Leaving the block, for any reason,
         stops and reaps the child and sets the generator to the state after
         the last batch consumed: the stream goes on as if every batch had
-        been drawn here.  Draws stay in process when fewer than two CPUs are
-        usable, another Python thread runs, or a block is already open.
+        been drawn here.  Draws stay in process for a block shorter than
+        MIN_FORKED_BATCHES, when fewer than two CPUs are usable, another
+        Python thread runs, or a block is already open.
         """
-        if (self._producer is not None or n_batches < 1 or _usable_cpus() < 2
-                or threading.active_count() > 1):
+        if (self._producer is not None or n_batches < MIN_FORKED_BATCHES
+                or _usable_cpus() < 2 or threading.active_count() > 1):
             yield
             return
         self._producer = _Producer(self._pools, self.spec, self.rng, n_batches)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import norm
 
 from progmetric import tuning
@@ -60,6 +61,28 @@ def test_kernel_scalar_reference_value():
 def test_kernel_rejects_singular_bandwidth():
     with pytest.raises(ConfigurationError):
         kernel(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+
+
+def axis_sum_kernel(w1, w2, bandwidth):
+    """The kernel with np.sum over the last axis: the reference that
+    `kernel`'s column-by-column sum must equal byte for byte."""
+    diff = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
+    d = len(bandwidth)
+    const = (2.0 * np.pi) ** (-d / 2.0) / np.sqrt(np.prod(bandwidth))
+    return const * np.exp(-0.5 * np.sum(diff * diff / bandwidth, axis=-1))
+
+
+def test_kernel_equals_axis_sum_reference_byte_for_byte():
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        m, n, d = rng.integers(1, 300), rng.integers(1, 40), rng.integers(1, 8)
+        x = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0)
+        y = rng.normal(size=(n, d))
+        b = np.exp(rng.uniform(-14.0, 3.0, d))
+        for w1, w2 in ((x[:, None], y), (x[:, None], y[None]), (x[0], y[0]), (x, x)):
+            got = np.asarray(kernel(w1, w2, b))
+            want = np.asarray(axis_sum_kernel(w1, w2, b))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- bandwidth
@@ -128,6 +151,27 @@ def test_posterior_matches_two_point_linear_solve():
     mean, var = state.posterior(cand)
     assert mean == pytest.approx(want_mean, abs=1e-12)
     assert var == pytest.approx(max(want_var, 0.0), abs=1e-12)
+
+
+def test_posterior_matches_scipy_linalg_reference():
+    # The same Cholesky factor solved by LAPACK's triangular solvers.  Two
+    # backward-stable solves of these well-conditioned systems differ by a
+    # few float64 ulps; the bound, 1e-12 of the observations' spread (mean)
+    # and of the prior variance (variance), leaves a thousandfold margin.
+    rng = np.random.default_rng(22)
+    for _ in range(100):
+        n = int(rng.integers(2, 40))
+        state = random_state(rng, n=n)
+        cands = np.vstack([sample_box(rng, 256), state.points])
+        chol, centred = state._chol, state.values - state.mean_level
+        k_star = kernel(cands[:, None], state.points, state.bandwidth)
+        want_mean = state.mean_level + k_star @ cho_solve((chol, True), centred)
+        beta = solve_triangular(chol, k_star.T, lower=True)
+        prior = kernel(cands, cands, state.bandwidth)
+        want_var = np.maximum(prior - np.sum(beta * beta, axis=0), 0.0)
+        mean, var = state.posterior(cands)
+        assert np.all(np.abs(mean - want_mean) <= 1e-12 * np.abs(centred).max())
+        assert np.all(np.abs(var - want_var) <= 1e-12 * prior)
 
 
 def test_posterior_variance_nonnegative():

@@ -267,7 +267,10 @@ def test_train_nonfinite_gradient_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_train_batch_producer_killed_exits_1(tmp_path, capsys, monkeypatch, forks):
-    cfg = write_config(tmp_path)
+    # 4 batches an epoch: 4-epoch explores are long enough to fork
+    cfg = write_config(tmp_path, pla={"max_epochs": 10, "initial_design": 2,
+                                      "explore_epochs": 4, "objective_split": 2,
+                                      "exploit_epochs": 4, "pool_size": 16})
     ds = gen_dataset(tmp_path, cfg)
     capsys.readouterr()
     parent, draw = os.getpid(), sampler._draw

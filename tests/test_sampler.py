@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progmetric.sampler import (
+    MIN_FORKED_BATCHES as FLOOR,
     BatchProducerError,
     BatchSpec,
     InsufficientDataError,
@@ -166,7 +167,7 @@ def ahead_sampler(seed=11, spec=BatchSpec(4, 4)):
 
 def test_producer_draws_equal_in_process_draws_across_blocks(forks):
     sampler, ref = ahead_sampler(), ahead_sampler()
-    for n in (5, 1, 17, 40):
+    for n in (FLOOR + 5, FLOOR, FLOOR + 17, 40):
         with sampler.drawing_ahead(n):
             for _ in range(n):
                 assert np.array_equal(sampler.sample(), ref.sample())
@@ -185,7 +186,7 @@ def test_stream_resumes_after_a_block_left_at_batch_k(forks, k):
                 assert np.array_equal(sampler.sample(), ref.sample())
             raise KeyError("training failed mid-block")
     assert sampler.rng.bit_generator.state == ref.rng.bit_generator.state
-    for n in (3, 8):
+    for n in (FLOOR + 3, FLOOR + 8):
         with sampler.drawing_ahead(n):
             for _ in range(n):
                 assert np.array_equal(sampler.sample(), ref.sample())
@@ -194,15 +195,15 @@ def test_stream_resumes_after_a_block_left_at_batch_k(forks, k):
 
 def test_sampling_past_the_block_count_draws_in_process(forks):
     sampler, ref = ahead_sampler(), ahead_sampler()
-    with sampler.drawing_ahead(4):
-        for _ in range(9):
+    with sampler.drawing_ahead(FLOOR):
+        for _ in range(FLOOR + 5):
             assert np.array_equal(sampler.sample(), ref.sample())
     assert len(forks) == 1
 
 
 def test_producer_batches_are_writable_int_arrays(forks):
     sampler = ahead_sampler()
-    with sampler.drawing_ahead(2):
+    with sampler.drawing_ahead(FLOOR):
         idx = sampler.sample()
         idx[0] = -1
     assert idx.dtype == np.dtype(int) and idx.shape == (16,)
@@ -247,7 +248,19 @@ def test_killed_producer_raises_typed_error_and_is_reaped(forks):
 def test_one_usable_cpu_draws_in_process(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     sampler, ref = ahead_sampler(), ahead_sampler()
-    with sampler.drawing_ahead(5):
-        for _ in range(5):
+    with sampler.drawing_ahead(FLOOR):
+        for _ in range(FLOOR):
             assert np.array_equal(sampler.sample(), ref.sample())
     assert forks == []
+
+
+def test_blocks_shorter_than_the_floor_draw_in_process(forks):
+    sampler, ref = ahead_sampler(), ahead_sampler()
+    for n in (1, FLOOR - 1):
+        with sampler.drawing_ahead(n):
+            for _ in range(n):
+                assert np.array_equal(sampler.sample(), ref.sample())
+    assert forks == []
+    with sampler.drawing_ahead(FLOOR):
+        assert np.array_equal(sampler.sample(), ref.sample())
+    assert len(forks) == 1

@@ -1,0 +1,81 @@
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy import special as scipy_special
+
+import progmetric
+from progmetric.special import expit, ndtr
+
+SQRT2 = np.sqrt(2.0)
+
+
+def around(v, steps=3):
+    """v and its `steps` float neighbours on each side, both signs."""
+    out = [v]
+    lo = hi = v
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out + [-x for x in out]
+
+
+def edge_values():
+    tiny = np.finfo(float).tiny
+    edges = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny,
+             np.inf, -np.inf, np.nan, 1.0, 0.5, 1e-8, 1e300]
+    # exp overflows just above 709.78 and underflows to 0 below -745.13
+    for v in (709.782712893384, 745.1332191019412, 38.5, 37.7):
+        edges += around(v)
+    edges += list(np.linspace(-746.0, -709.0, 200)) + list(np.linspace(709.0, 746.0, 200))
+    # ndtr's branch edges: |a| / sqrt(2) at 1 / sqrt(2), 1 and 8
+    for v in (1.0, SQRT2, 8.0 * SQRT2):
+        edges += around(v, steps=20)
+    return np.array(edges, dtype=float)
+
+
+def million_values():
+    rng = np.random.default_rng(20261019)
+    signs = rng.choice([-1.0, 1.0], 100_000)
+    return np.concatenate([
+        edge_values(),
+        rng.normal(size=300_000) * 3.0,
+        rng.normal(size=200_000) * 20.0,
+        rng.uniform(-800.0, 800.0, 200_000),
+        rng.uniform(-40.0, 40.0, 200_000),
+        signs * np.exp(rng.uniform(-745.0, 6.7, 100_000)),
+    ])
+
+
+@pytest.mark.parametrize("ours,reference", [(expit, scipy_special.expit),
+                                            (ndtr, scipy_special.ndtr)])
+def test_port_equals_scipy_bit_for_bit(ours, reference):
+    x = million_values()
+    assert x.size >= 1_000_000
+    got, want = ours(x), reference(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    bad = np.flatnonzero(got[~nan].view(np.uint64) != want[~nan].view(np.uint64))
+    assert bad.size == 0, f"differs at {x[~nan][bad[:5]]}"
+
+
+@pytest.mark.parametrize("f", (expit, ndtr))
+def test_port_keeps_shape(f):
+    x = np.linspace(-40.0, 40.0, 24).reshape(2, 3, 4)
+    assert np.array_equal(f(x), f(x.ravel()).reshape(x.shape))
+    assert f(np.array(0.5)).shape == ()
+    assert f(np.empty(0)).shape == (0,)
+
+
+def test_package_imports_without_scipy():
+    code = ("import sys; import progmetric, progmetric.cli, progmetric.tuning; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(progmetric.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
