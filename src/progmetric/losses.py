@@ -93,6 +93,11 @@ def pairwise_distances(embeddings):
     # reuses its operand's buffer.
     gram = x @ x.T
     sq = np.diag(gram).copy()
+    # |gram| is at most max(sq) (Cauchy-Schwarz), so no step below exceeds
+    # 4 max(sq); the factor 8 leaves room for rounding, and no N x N pass
+    # is needed to find an overflow
+    if not np.isfinite(8.0 * sq).all():
+        raise InvalidInputError("embedding distances overflow float64")
     d = np.add.outer(sq, sq)
     gram *= 2.0
     d -= gram

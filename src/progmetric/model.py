@@ -126,25 +126,52 @@ class ModelParams:
 
 
 def forward(params: ModelParams, features):
-    """(embeddings, logits) for a batch of input rows."""
-    emb, logits, _ = forward_with_cache(params, features)
+    """(embeddings, logits) for a batch of input rows.
+
+    Inference keeps no backward cache: the trunk output is rectified in
+    place, so besides its input the pass holds the trunk output, the two
+    heads and what it returns.
+    """
+    h = _trunk(params, features)[1]
+    np.maximum(h, 0.0, out=h)
+    emb, logits, _ = _heads(params, h)
     return emb, logits
 
 
 def forward_with_cache(params: ModelParams, features):
+    """(embeddings, logits, cache), the cache being what `backward` reads."""
+    x, h_pre = _trunk(params, features)
+    h = np.maximum(h_pre, 0.0)
+    emb, logits, z_soft = _heads(params, h)
+    return emb, logits, (x, h_pre, h, z_soft)
+
+
+# Each layer adds its bias in place (t = a @ W; t += b): the same float
+# additions as a @ W + b, so the same bits, without a second output-sized
+# array.
+
+def _trunk(params, features):
+    """(x, trunk pre-activation) for a batch of input rows."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.w_trunk.shape[0]:
         raise InvalidInputError(
             f"expected features of shape (N, {params.w_trunk.shape[0]})"
         )
-    h_pre = x @ params.w_trunk + params.b_trunk
-    h = np.maximum(h_pre, 0.0)
-    z_trip = h @ params.w_trip + params.b_trip
-    z_soft = h @ params.w_soft + params.b_soft
+    h_pre = x @ params.w_trunk
+    h_pre += params.b_trunk
+    return x, h_pre
+
+
+def _heads(params, h):
+    """(embeddings, logits, softmax-head output) from the rectified trunk."""
+    z_trip = h @ params.w_trip
+    z_trip += params.b_trip
+    z_soft = h @ params.w_soft
+    z_soft += params.b_soft
     emb = np.concatenate([z_trip, z_soft], axis=1)
-    logits = z_soft @ params.w_cls + params.b_cls
-    cache = (x, h_pre, h, z_soft)
-    return emb, logits, cache
+    logits = z_soft @ params.w_cls
+    logits += params.b_cls
+    return emb, logits, z_soft
 
 
 def backward(params: ModelParams, cache, d_emb, d_logits, out=None):

@@ -53,6 +53,32 @@ def test_pairwise_rejects_nonfinite():
         pairwise_distances(np.array([[0.0, np.nan]]))
 
 
+# finite rows whose Gram product overflows: unchecked, the distances held
+# nan and inf, anchors 0 and 1 were picked as their own positives and row 0
+# as the negative of anchor 1, which shares its label
+OVERFLOW = np.array([[1e155, 0.0], [1e155, 1.0], [-1e155, 0.0], [0.0, 3.0]])
+OVERFLOW_LABELS = np.array([0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, y: losses.gbh_select(pairwise_distances(x), y, 1, 1),
+    lambda x, y: gbh_loss_grad(x, y, HyperParams(lam=1.0, margin=0.1, k=1, p=1)),
+    lambda x, y: batch_hard_grad(x, y, 0.2),
+], ids=["gbh_select", "gbh_loss_grad", "batch_hard_grad"])
+def test_overflowing_distances_are_an_error(call):
+    with pytest.raises(InvalidInputError, match="overflow"), \
+            np.errstate(over="ignore"):
+        call(OVERFLOW, OVERFLOW_LABELS)
+
+
+def test_largest_unflagged_norms_give_finite_distances():
+    # squared norms just under max/8: the farthest pair is 4x that apart
+    s = 0.999 * math.sqrt(np.finfo(float).max / 8)
+    d = pairwise_distances(np.array([[s, 0.0], [-s, 0.0], [0.0, s]]))
+    assert np.isfinite(d).all()
+    assert d[0, 1] == pytest.approx(2 * s, rel=1e-12)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_pairwise_matrix_properties(seed):

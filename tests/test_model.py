@@ -1,8 +1,13 @@
+import json
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+from progmetric import synthetic
+from progmetric.cli import main
+from progmetric.evaluation import evaluate, metrics_csv_lines
 from progmetric.losses import (
     HyperParams,
     InvalidInputError,
@@ -23,7 +28,7 @@ from progmetric.model import (
     forward_with_cache,
     lr_schedule,
 )
-from progmetric.trainer import batch_loss_and_grads
+from progmetric.trainer import batch_loss_and_grads, load_model
 
 TINY = ModelConfig(d_in=3, hidden=5, embed_dim=4, n_classes=3)
 
@@ -86,6 +91,94 @@ def test_forward_block_structure():
 def test_forward_shape_mismatch():
     with pytest.raises(InvalidInputError):
         forward(tiny_model(), np.ones((2, 5)))
+
+
+def out_of_place_forward(params, features):
+    """The forward pass with out-of-place bias adds and the cache always
+    built, the byte-for-byte reference for the in-place adds and the
+    cache-free `forward`; returns (emb, logits, cache)."""
+    x = np.asarray(features, dtype=float)
+    h_pre = x @ params.w_trunk + params.b_trunk
+    h = np.maximum(h_pre, 0.0)
+    z_trip = h @ params.w_trip + params.b_trip
+    z_soft = h @ params.w_soft + params.b_soft
+    emb = np.concatenate([z_trip, z_soft], axis=1)
+    logits = z_soft @ params.w_cls + params.b_cls
+    return emb, logits, (x, h_pre, h, z_soft)
+
+
+# the batch_hard_large benchmark's model: 512 classes, so logits dominate
+LARGE = ModelConfig(d_in=32, hidden=64, embed_dim=32, n_classes=512)
+
+
+def large_model(seed):
+    rng = np.random.default_rng(seed)
+    params = ModelParams.init(LARGE, rng)
+    for b in (params.b_trunk, params.b_trip, params.b_soft, params.b_cls):
+        b[...] = rng.normal(size=b.shape)  # init leaves biases at zero
+    return params
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "column_slice", "integer"])
+@pytest.mark.parametrize("n", [1, 2, 7, 6144])
+def test_forward_matches_out_of_place_reference(n, kind):
+    params = large_model(n)
+    rng = np.random.default_rng(n + 1)
+    if kind == "contiguous":
+        x = rng.normal(size=(n, LARGE.d_in))
+    elif kind == "column_slice":
+        x = rng.normal(size=(n, 3 * LARGE.d_in))[:, 1::3]
+    else:
+        x = rng.integers(-4, 5, size=(n, LARGE.d_in))
+    want_emb, want_logits, want_cache = out_of_place_forward(params, x)
+    assert (want_cache[1] < 0).any() and (want_cache[1] > 0).any()
+    emb, logits = forward(params, x)
+    assert same_bytes(emb, want_emb) and same_bytes(logits, want_logits)
+    emb, logits, cache = forward_with_cache(params, x)
+    assert same_bytes(emb, want_emb) and same_bytes(logits, want_logits)
+    assert all(same_bytes(a, b) for a, b in zip(cache, want_cache, strict=True))
+
+
+@pytest.mark.parametrize("fn, bound", [(forward, 1.3), (forward_with_cache, 1.45)])
+def test_forward_peak_memory_in_logits_arrays(fn, bound):
+    # out-of-place adds and a cached forward held 2.38 logits-sized arrays
+    params = large_model(0)
+    x = np.random.default_rng(1).normal(size=(6144, LARGE.d_in))
+    fn(params, x)
+    tracemalloc.start()
+    try:
+        out = fn(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    assert peak / (6144 * LARGE.n_classes * 8) < bound
+
+
+def test_cli_eval_matches_evaluate_on_reference_embeddings(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "seed": 0, "out_dir": str(tmp_path / "out"),
+        "data": {"n_identities": 8, "samples_per_identity": 6, "dim": 6},
+        "split": {"query_per_identity": 2}, "batch": {"P": 4, "K": 2},
+        "model": {"hidden": 8, "embed_dim": 8}, "epochs": 5}))
+    ds = tmp_path / "ds.csv"
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    out = tmp_path / "metrics.csv"
+    assert main(["gen-data", "--config", str(cfg), "--dataset", str(ds)]) == 0
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--mode", "composite_fixed"]) == 0
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                 "--out", str(out)]) == 0
+    params = load_model(ckpt)
+    qg = synthetic.query_gallery(synthetic.load(ds))
+    qg.query_embeddings = out_of_place_forward(params, qg.query_embeddings)[0]
+    qg.gallery_embeddings = out_of_place_forward(params, qg.gallery_embeddings)[0]
+    assert out.read_text().splitlines() == list(metrics_csv_lines(evaluate(qg)))
 
 
 def test_embed_dim_must_be_even():

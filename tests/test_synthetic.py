@@ -122,6 +122,70 @@ def test_split_infeasible_query_count():
         split(ds, 4, np.random.default_rng(0))
 
 
+def loop_split(dataset, query_per_identity, rng, open_set=False,
+               test_fraction=0.5):
+    """Per-identity scan (two `labels == i` passes an identity), the
+    reference for split's one grouping of the rows; returns the tags."""
+    labels = dataset.labels
+    ids = np.unique(labels)
+    counts = {i: int((labels == i).sum()) for i in ids}
+    if any(c <= query_per_identity for c in counts.values()):
+        raise InvalidInputError(
+            "query_per_identity must be smaller than samples per identity")
+    tags = np.array(["gallery"] * len(labels), dtype=object)
+    if open_set:
+        perm = rng.permutation(ids)
+        n_test = max(2, int(round(test_fraction * len(ids))))
+        test_ids = set(perm[:n_test].tolist())
+        for i in ids:
+            if i not in test_ids:
+                tags[labels == i] = "train"
+    test_ids = set(ids.tolist()) if not open_set else test_ids
+    for i in ids:
+        if i not in test_ids:
+            continue
+        rows = np.flatnonzero(labels == i)
+        q = rng.choice(rows, size=query_per_identity, replace=False)
+        tags[q] = "query"
+    return list(tags)
+
+
+def shuffled_dataset(n_ids, seed, strings):
+    """Identities of 3-8 rows each, in shuffled row order, labelled by
+    sparse ints or by strings (whose sorted order differs)."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(n_ids) * 7 + 3,
+                                       rng.integers(3, 9, size=n_ids)))
+    if strings:
+        labels = np.array([f"id{v}" for v in labels])
+    return LabeledDataset(features=np.zeros((len(labels), 1)), labels=labels,
+                          split_tags=["train"] * len(labels))
+
+
+@pytest.mark.parametrize("strings", [False, True], ids=["int", "str"])
+@pytest.mark.parametrize("open_set", [False, True], ids=["closed", "open"])
+@pytest.mark.parametrize("n_ids", [33, 64, 512])
+def test_split_matches_per_identity_reference(n_ids, open_set, strings):
+    ds = shuffled_dataset(n_ids, n_ids, strings)
+    rng, ref_rng = np.random.default_rng(n_ids + 1), np.random.default_rng(n_ids + 1)
+    out = split(ds, 2, rng, open_set=open_set)
+    assert out.split_tags == loop_split(ds, 2, ref_rng, open_set=open_set)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("open_set", [False, True], ids=["closed", "open"])
+def test_split_rejects_one_identity_too_small(open_set):
+    ds = shuffled_dataset(12, 3, strings=False)
+    counts = np.unique(ds.labels, return_counts=True)[1]
+    assert counts.min() < counts.max()
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match="^query_per_identity must be "
+                       "smaller than samples per identity$"):
+        split(ds, int(counts.min()), rng, open_set=open_set)
+    assert rng.bit_generator.state == before
+
+
 def test_train_partition_modes():
     ds = generate(clean_spec())
     closed = split(ds, 2, np.random.default_rng(3))
