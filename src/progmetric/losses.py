@@ -150,25 +150,35 @@ def triplet_layout(labels):
                          not_pos=not_pos, same=same, n_pos=n_pos, n_neg=n_neg)
 
 
+def _reject_nan(ranked):
+    if np.isnan(ranked).any():
+        raise InvalidInputError("NaN distance: distances must be ordered")
+
+
 def _order_stat(key, col, excluded=None):
     """Per row, the index of the col-th smallest entry of key (col: one per row).
 
     Equal values rank in index order, as a stable sort would place them.
     excluded, when given, marks entries that rank as +inf; key is read, not
-    copied, and only the sort works on a masked copy, in place.
-    A value-only sort finds the col-th value; the row's first entry equal
-    to it is the answer unless smaller-index ties must be skipped.  That
-    happens exactly where the sorted row repeats the col-th value just
-    before it, and only those rows count their lower entries and walk
-    their equal ones.
+    copied, and only the ranking works on a masked copy, in place.  A NaN
+    among the ranked entries raises InvalidInputError.
+    When every row asks for column 0, the answer is the row's first
+    minimum, which argmin finds without a sort.  Otherwise a value-only
+    sort finds the col-th value; the row's first entry equal to it is the
+    answer unless smaller-index ties must be skipped.  That happens exactly
+    where the sorted row repeats the col-th value just before it, and only
+    those rows count their lower entries and walk their equal ones.
     """
     rows = np.arange(len(key))
-    if excluded is None:
-        srt = np.sort(key, axis=1)
-    else:
-        srt = key.copy()
+    srt = key.copy()
+    if excluded is not None:
         np.copyto(srt, np.inf, where=excluded)
-        srt.sort(axis=1)
+    if not col.any():
+        idx = srt.argmin(axis=1)
+        _reject_nan(srt[rows, idx])  # argmin returns a row's first NaN, if any
+        return idx
+    srt.sort(axis=1)
+    _reject_nan(srt[:, -1])  # the sort places a row's NaNs last
     kth = srt[rows, col]
     eq = key == kth[:, None]
     if excluded is not None:  # an excluded entry equals kth where kth is +inf
@@ -194,7 +204,8 @@ def gbh_select(dist, labels, k, p):
     available counts; order-statistic ties break toward the lowest sample
     index.  Positives are ranked within each anchor's member block (N x W),
     whose columns run in index order; negatives across the row, with
-    same-label entries ranking last as +inf.
+    same-label entries ranking last as +inf.  A NaN among the distances an
+    anchor ranks raises InvalidInputError.
     """
     if k < 1 or p < 1:
         raise InvalidInputError("k and p must be >= 1")

@@ -9,6 +9,7 @@ checked against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,6 +126,15 @@ class ModelParams:
         return bool(np.isfinite(self.flat).all())
 
 
+class ForwardCache(NamedTuple):
+    """What `backward` reads of a training forward pass."""
+
+    x: np.ndarray
+    h_pre: np.ndarray  # trunk output before the rectifier
+    h: np.ndarray
+    z_soft: np.ndarray  # softmax-head output, the classifier's input
+
+
 def forward(params: ModelParams, features):
     """(embeddings, logits) for a batch of input rows.
 
@@ -134,16 +144,20 @@ def forward(params: ModelParams, features):
     """
     h = _trunk(params, features)[1]
     np.maximum(h, 0.0, out=h)
-    emb, logits, _ = _heads(params, h)
-    return emb, logits
+    emb, z_soft = _heads(params, h)
+    return emb, classify(params, z_soft)
 
 
 def forward_with_cache(params: ModelParams, features):
-    """(embeddings, logits, cache), the cache being what `backward` reads."""
+    """(embeddings, ForwardCache) for a training batch.
+
+    It computes no logits: a loss that reads them gets them from
+    `classify(params, cache.z_soft)`.
+    """
     x, h_pre = _trunk(params, features)
     h = np.maximum(h_pre, 0.0)
-    emb, logits, z_soft = _heads(params, h)
-    return emb, logits, (x, h_pre, h, z_soft)
+    emb, z_soft = _heads(params, h)
+    return emb, ForwardCache(x, h_pre, h, z_soft)
 
 
 # Each layer adds its bias in place (t = a @ W; t += b): the same float
@@ -163,30 +177,42 @@ def _trunk(params, features):
 
 
 def _heads(params, h):
-    """(embeddings, logits, softmax-head output) from the rectified trunk."""
+    """(embeddings, softmax-head output) from the rectified trunk."""
     z_trip = h @ params.w_trip
     z_trip += params.b_trip
     z_soft = h @ params.w_soft
     z_soft += params.b_soft
-    emb = np.concatenate([z_trip, z_soft], axis=1)
+    return np.concatenate([z_trip, z_soft], axis=1), z_soft
+
+
+def classify(params: ModelParams, z_soft):
+    """Logits of the softmax-head output (`ForwardCache.z_soft`)."""
     logits = z_soft @ params.w_cls
     logits += params.b_cls
-    return emb, logits, z_soft
+    return logits
 
 
-def backward(params: ModelParams, cache, d_emb, d_logits, out=None):
+def backward(params: ModelParams, cache: ForwardCache, d_emb, d_logits, out=None):
     """Parameter gradients given gradients at the embedding and logit outputs.
 
-    The gradients are written into `out` (params of the same layout, every
-    entry overwritten) and returned; without it, into a fresh buffer.
+    d_logits None means the loss read no logits: the classifier's gradient
+    is 0 and the softmax head's comes from d_emb alone, with no product on
+    a zero logit gradient.  The gradients are written into `out` (params of
+    the same layout, every entry overwritten) and returned; without it,
+    into a fresh buffer.
     """
     x, h_pre, h, z_soft = cache
     half = params.w_trip.shape[1]
     d_zt = d_emb[:, :half]
-    d_zs = d_emb[:, half:] + d_logits @ params.w_cls.T
+    d_zs = d_emb[:, half:]
     grads = params.like(np.empty_like(params.flat)) if out is None else out
-    np.matmul(z_soft.T, d_logits, out=grads.w_cls)
-    d_logits.sum(axis=0, out=grads.b_cls)
+    if d_logits is None:
+        grads.w_cls.fill(0.0)
+        grads.b_cls.fill(0.0)
+    else:
+        d_zs = d_zs + d_logits @ params.w_cls.T
+        np.matmul(z_soft.T, d_logits, out=grads.w_cls)
+        d_logits.sum(axis=0, out=grads.b_cls)
     np.matmul(h.T, d_zt, out=grads.w_trip)
     d_zt.sum(axis=0, out=grads.b_trip)
     np.matmul(h.T, d_zs, out=grads.w_soft)

@@ -180,6 +180,10 @@ def load(path) -> LabeledDataset:
             raise ParseError(f"{path}:{lineno}: malformed row") from exc
     if not rows:
         raise ParseError(f"{path}:2: file has a header but no samples")
-    return LabeledDataset(features=np.array(rows, dtype=float),
+    features = np.array(rows, dtype=float)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():  # row i is line i + 2
+        raise ParseError(f"{path}:{np.argmin(finite) + 2}: non-finite feature value")
+    return LabeledDataset(features=features,
                           labels=np.array(labels, dtype=int),
                           split_tags=tags)

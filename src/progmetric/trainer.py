@@ -33,12 +33,16 @@ from .model import (
     adam_step,
     backward,
     beta1_schedule,
+    classify,
     forward_with_cache,
     lr_schedule,
 )
 from .sampler import BatchSpec, PKSampler
 
 TRAIN_MODES = ("pla", "batch_hard", "ce_only", "triplet_only", "composite_fixed")
+# the modes whose loss reads the classifier's logits; the others train
+# without computing them
+LOGIT_MODES = ("composite_fixed", "ce_only")
 
 MODEL_MAGIC = b"PMMODEL1"
 
@@ -180,6 +184,8 @@ def batch_loss_and_grads(mode, emb, logits, class_ids, w: HyperParams,
                          layout=None):
     """Loss breakdown and output-level gradients for one batch in a mode.
 
+    logits are read only in LOGIT_MODES (pass None in the others), and
+    only those modes return a logit gradient; the others return None.
     class_ids are the dense class indices (logit columns); they also serve
     as the triplet labels, since triplet selection only compares labels
     for equality.  layout, when given, is class_ids' TripletLayout, which
@@ -204,11 +210,11 @@ def batch_loss_and_grads(mode, emb, logits, class_ids, w: HyperParams,
     elif mode == "triplet_only":
         value, d_emb = losses.gbh_loss_grad(emb, trip_labels, w)
         breakdown = LossBreakdown(softmax_term=0.0, gbh_term=value, total=value)
-        d_logits = np.zeros_like(logits)
+        d_logits = None
     elif mode == "batch_hard":
         value, d_emb = losses.batch_hard_grad(emb, trip_labels, w.margin)
         breakdown = LossBreakdown(softmax_term=0.0, gbh_term=value, total=value)
-        d_logits = np.zeros_like(logits)
+        d_logits = None
     else:
         raise ValueError(f"unknown training mode {mode!r}")
     return breakdown, d_emb, d_logits
@@ -264,7 +270,9 @@ class TrainingRun:
                 for _ in range(self.sampler.batches_per_epoch):
                     idx = self.sampler.sample()
                     x = self.features[idx]
-                    emb, logits, cache = forward_with_cache(self.params, x)
+                    emb, cache = forward_with_cache(self.params, x)
+                    logits = (classify(self.params, cache.z_soft)
+                              if mode in LOGIT_MODES else None)
                     breakdown, d_emb, d_logits = batch_loss_and_grads(
                         mode, emb, logits, self.class_ids_for(idx), w, self.layout)
                     backward(self.params, cache, d_emb, d_logits, out=self.grads)

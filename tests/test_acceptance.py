@@ -32,6 +32,7 @@ from progmetric.model import (
     ModelParams,
     OptimizerConfig,
     beta1_schedule,
+    classify,
     forward,
     forward_with_cache,
     backward,
@@ -139,7 +140,8 @@ def test_criterion_2_gradient_fidelity():
         # model-level: backprop of the composite loss vs weight-space FD
         params = ModelParams.init(cfg, rng)
         x = rng.normal(size=(n, 3), scale=2.0)
-        e, l, cache = forward_with_cache(params, x)
+        e, cache = forward_with_cache(params, x)
+        l = classify(params, cache.z_soft)
         _, ge, gl = composite_loss_grad(e, l, labels, w)
         grads = backward(params, cache, ge, gl)
         fdv, anv = [], []

@@ -71,6 +71,19 @@ def test_overflowing_distances_are_an_error(call):
         call(OVERFLOW, OVERFLOW_LABELS)
 
 
+@pytest.mark.parametrize("k, p", [(1, 1), (2, 3)])
+def test_nan_distance_is_an_error(k, p):
+    # a sort ranks a NaN last and argmin first: either would pick an
+    # anchor's neighbours from distances that have no order
+    x = np.random.default_rng(34).normal(size=(8, 3))
+    labels = np.repeat([0, 1], 4)
+    for i, j in ((0, 5), (0, 2)):  # a negative pair, then a positive pair
+        d = pairwise_distances(x)
+        d[i, j] = d[j, i] = np.nan
+        with pytest.raises(InvalidInputError, match="NaN"):
+            losses.gbh_select(d, labels, k, p)
+
+
 def test_largest_unflagged_norms_give_finite_distances():
     # squared norms just under max/8: the farthest pair is 4x that apart
     s = 0.999 * math.sqrt(np.finfo(float).max / 8)
@@ -406,7 +419,8 @@ def test_pairwise_distances_equal_reference_bytes(kind):
 @pytest.mark.parametrize("kind", ("real",) + DESK_KINDS)
 def test_order_stat_equals_reference(kind):
     # the keys gbh_select ranks, and the negative key at arbitrary per-row
-    # columns (0 included), for every view of the embedding
+    # columns (0 included) and at column 0 on every row (the argmin path),
+    # for every view of the embedding
     rng = np.random.default_rng(30)
     for _ in range(20):
         for x in desk_embedding_views(rng, kind):
@@ -416,7 +430,9 @@ def test_order_stat_equals_reference(kind):
             neg_key = np.where(DESK_LAYOUT.same, np.inf, d)
             for key, col in ((pos_key, np.minimum(k, DESK_LAYOUT.n_pos) - 1),
                              (neg_key, np.minimum(p, DESK_LAYOUT.n_neg) - 1),
-                             (neg_key, rng.integers(0, 112, len(d)))):
+                             (neg_key, rng.integers(0, 112, len(d))),
+                             (pos_key, np.zeros(len(d), dtype=int)),
+                             (neg_key, np.zeros(len(d), dtype=int))):
                 assert np.array_equal(losses._order_stat(key, col),
                                       ref_order_stat(key, col))
 
@@ -425,18 +441,20 @@ def test_order_stat_equals_reference(kind):
 def test_order_stat_with_excluded_entries_equals_masked_reference(kind):
     # gbh_select's negative side passes the distances and the same-label mask,
     # not the masked copy; the masked copy is the reference's key.  Some
-    # distances are +inf, so that a row's col-th value can be +inf, and some
-    # tie a same-label entry with a negative one.
+    # distances are +inf, so that a row's col-th value can be +inf (two
+    # rows are +inf throughout), and some tie a same-label entry with a
+    # negative one.  Column 0 on every row takes the argmin path.
     rng = np.random.default_rng(33)
     same = DESK_LAYOUT.same
     for _ in range(20):
         for x in desk_embedding_views(rng, kind):
             d = pairwise_distances(x)
             d[rng.random(d.shape) < 0.05] = np.inf
+            d[rng.integers(0, len(d), 2)] = np.inf
             d.flat[rng.integers(0, d.size, 40)] = d.flat[rng.integers(0, d.size, 40)]
             key = np.where(same, np.inf, d)
             for col in (np.minimum(int(rng.integers(1, 17)), DESK_LAYOUT.n_neg) - 1,
-                        rng.integers(0, 112, len(d))):
+                        rng.integers(0, 112, len(d)), np.zeros(len(d), dtype=int)):
                 assert np.array_equal(losses._order_stat(d, col, same),
                                       ref_order_stat(key, col))
 

@@ -244,6 +244,15 @@ def test_load_malformed_value_names_line(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_load_nonfinite_value_names_line(tmp_path, value):
+    path = tmp_path / "val.csv"
+    path.write_text(f"id,split,f0,f1\n1,train,0.5,0.5\n2,train,0.5,{value}\n"
+                    "3,train,nan,0.5\n")
+    with pytest.raises(ParseError, match=r"val\.csv:3: non-finite"):
+        load(path)
+
+
 def test_load_header_only(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("id,split,f0\n")

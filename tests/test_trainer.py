@@ -185,6 +185,21 @@ def test_batch_hard_separable_reaches_zero_loss():
     assert params_equal(res.best_params, res.final_params)
 
 
+@pytest.mark.parametrize("mode", ["batch_hard", "triplet_only"])
+def test_modes_without_logits_leave_the_classifier_at_its_init(mode):
+    # these modes compute no logits: the classifier's gradient is 0, and
+    # Adam, its moments starting at 0, moves the classifier by exactly 0;
+    # the identities overlap, so the triplet terms train the rest
+    x, y = small_data(center_scale=2.0)
+    init = TrainingRun(x, y, MODEL, OptimizerConfig(), BATCH, seed=4).params
+    w = HyperParams(lam=1.0, margin=0.2, k=2, p=3)
+    res = run_fixed(x, y, mode, w, 5, MODEL, OptimizerConfig(), BATCH, seed=4)
+    for name in ("w_cls", "b_cls"):
+        assert getattr(res.final_params, name).tobytes() == getattr(init, name).tobytes()
+    assert not np.array_equal(res.final_params.w_trunk, init.w_trunk)
+    assert [r.mean_ce for r in res.report.rows] == [0.0] * 5
+
+
 def test_run_fixed_rejects_pla_and_unknown_modes():
     x, y = small_data()
     with pytest.raises(ValueError):
