@@ -9,7 +9,7 @@ import numpy as np
 
 from progmetric import HyperParams, evaluate, pca_reduce, run_fixed
 from progmetric.evaluation import QueryGallerySplit, pca_apply
-from progmetric.model import ModelConfig, OptimizerConfig, forward
+from progmetric.model import ModelConfig, OptimizerConfig, embed
 from progmetric.sampler import BatchSpec
 from progmetric.synthetic import (
     SynthSpec, generate, query_gallery, split, train_partition,
@@ -28,8 +28,8 @@ result = run_fixed(x, y, "composite_fixed", HyperParams(1.0, 0.2, 1, 2),
                    seed=0)
 
 qg = query_gallery(ds)
-q_emb, _ = forward(result.final_params, qg.query_embeddings)
-g_emb, _ = forward(result.final_params, qg.gallery_embeddings)
+q_emb = embed(result.final_params, qg.query_embeddings)
+g_emb = embed(result.final_params, qg.gallery_embeddings)
 
 
 def score(q, g, label):

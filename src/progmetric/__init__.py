@@ -31,7 +31,7 @@ from .bayes_opt import (
     kernel,
     propose,
 )
-from .model import ModelConfig, ModelParams, OptimizerConfig, forward, lr_schedule
+from .model import ModelConfig, ModelParams, OptimizerConfig, embed, forward, lr_schedule
 from .trainer import PlaConfig, run_fixed, run_pla
 from .evaluation import QueryGallerySplit, RetrievalMetrics, evaluate, pca_reduce
 from .synthetic import LabeledDataset, SynthSpec, generate
@@ -43,7 +43,7 @@ __all__ = [
     "PKSampler", "PlaConfig", "QueryGallerySplit", "RetrievalMetrics",
     "SynthSpec", "batch_hard_loss", "composite_loss", "composite_loss_grad",
     "cross_entropy_loss", "drop_rate_objective", "estimate_bandwidth",
-    "evaluate", "expected_improvement", "fit_gp", "forward", "gbh_loss",
+    "embed", "evaluate", "expected_improvement", "fit_gp", "forward", "gbh_loss",
     "gbh_terms", "generate", "kernel", "lr_schedule", "pairwise_distances",
     "pca_reduce", "pk_sample", "propose", "run_fixed", "run_pla",
 ]

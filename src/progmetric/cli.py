@@ -21,7 +21,7 @@ from .bayes_opt import NumericalError
 from .config import ConfigError, RunConfig, load_config
 from .evaluation import evaluate, metrics_csv_lines, pca_apply, pca_reduce
 from .losses import HyperParams
-from .model import NonFiniteGradientError, forward
+from .model import NonFiniteGradientError, embed
 from .sampler import BatchProducerError
 from .trainer import (
     TRAIN_MODES,
@@ -103,8 +103,8 @@ def cmd_eval(args):
     params = load_model(args.checkpoint)
     dataset = synthetic.load(args.dataset)
     qg = synthetic.query_gallery(dataset)
-    q_emb, _ = forward(params, qg.query_embeddings)
-    g_emb, _ = forward(params, qg.gallery_embeddings)
+    q_emb = embed(params, qg.query_embeddings)
+    g_emb = embed(params, qg.gallery_embeddings)
     if args.target_dim is not None:
         pca = pca_reduce(np.vstack([g_emb, q_emb]), args.target_dim)
         q_emb = pca_apply(pca, q_emb)

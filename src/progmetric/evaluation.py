@@ -29,20 +29,26 @@ class RetrievalMetrics:
 
 
 # Bytes of float64 distance rows in flight at once, summed over all worker
-# threads.  Each block holds a few arrays of its own size, so evaluation
-# memory grows with the gallery, not with the number of queries.
+# threads.  Each worker ranks its block inside two arrays of the block's
+# size, so evaluation memory grows with the gallery, not with the number of
+# queries.
 BLOCK_BYTES = 8 << 20
 
 
-def _cross_distances(a, b, b_sq=None):
+def _cross_distances(a, b, b_sq=None, out=None, work=None):
     """Euclidean distances between the rows of a and b; b_sq, when given, is
-    (b * b).sum(1), computed once for a gallery that many blocks share."""
+    (b * b).sum(1), computed once for a gallery that many blocks share.
+
+    out and work, when given, are (len(a), len(b)) float64 arrays: the
+    distances are written into out and the product 2a b^T into work, the
+    same float operations as without them.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if b_sq is None:
         b_sq = (b * b).sum(1)
-    d2 = (a * a).sum(1)[:, None] + b_sq[None, :]
-    d2 -= 2.0 * a @ b.T
+    d2 = np.add((a * a).sum(1)[:, None], b_sq[None, :], out=out)
+    d2 -= np.matmul(2.0 * a, b.T, out=work)
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2, out=d2)
 
@@ -106,37 +112,47 @@ def _stable_ranks(dist, ranked, rows, cols):
     return rank
 
 
-def _rank_block(q, q_labels, lo, hi, g, g_sq, g_labels, order):
+def _rank_block(q, q_labels, lo, hi, g, g_sq, g_labels, order, free):
     """Rank the gallery for one block of queries.
 
     A query's candidate gallery columns are order[lo:hi], in ascending column
     order; those whose label equals the query's under ``==`` are relevant.
-    Returns, for the block's queries that have a match, in query order, the
-    rank of each one's first hit and its AP: arrays of at most one entry a
-    query, so finished blocks hold no gallery-sized array.
+    The block borrows a pair of (rows, gallery) float64 arrays, at least as
+    high as the block, from the list `free` and gives it back when done; the
+    distances, the sorted rows and the AP precision rows are written into
+    them.  Returns, for the block's queries that have a match, in query
+    order, the rank of each one's first hit and its AP: arrays of at most
+    one entry a query, so finished blocks hold no gallery-sized array.
     """
     n_gallery = len(g)
-    dist = _cross_distances(q, g, g_sq)
-    ranked = np.sort(dist, axis=1)
-    if not np.isfinite(ranked[:, -1:]).all():
-        raise InvalidInputError("query/gallery distances overflow float64")
-    n_cand = hi - lo
-    rows = np.repeat(np.arange(len(q)), n_cand)
-    cols = order[np.arange(len(rows))
-                 + np.repeat(lo - (np.cumsum(n_cand) - n_cand), n_cand)]
-    hit = q_labels[rows] == g_labels[cols]
-    rows, cols = rows[hit], cols[hit]
-    # hits in (query, rank) order; i counts a query's hits from 1
-    rows, rank = np.divmod(
-        np.sort(rows * n_gallery + _stable_ranks(dist, ranked, rows, cols)),
-        n_gallery)
-    n_rel = np.bincount(rows, minlength=len(q))
-    first = np.cumsum(n_rel) - n_rel
-    i = np.arange(1, len(rows) + 1) - first[rows]
-    valid = n_rel > 0
-    precision = np.zeros(dist.shape)
-    precision[rows, rank] = i / (rank + 1)
-    return rank[first[valid]], precision.sum(axis=1)[valid] / n_rel[valid]
+    pair = free.pop()  # list.pop and list.append are atomic across threads
+    try:
+        dist, ranked = (buf[:len(q)] for buf in pair)
+        _cross_distances(q, g, g_sq, out=dist, work=ranked)
+        ranked[...] = dist
+        ranked.sort(axis=1)  # what np.sort(dist, axis=1) does to its copy
+        if not np.isfinite(ranked[:, -1:]).all():
+            raise InvalidInputError("query/gallery distances overflow float64")
+        n_cand = hi - lo
+        rows = np.repeat(np.arange(len(q)), n_cand)
+        cols = order[np.arange(len(rows))
+                     + np.repeat(lo - (np.cumsum(n_cand) - n_cand), n_cand)]
+        hit = q_labels[rows] == g_labels[cols]
+        rows, cols = rows[hit], cols[hit]
+        # hits in (query, rank) order; i counts a query's hits from 1
+        rows, rank = np.divmod(
+            np.sort(rows * n_gallery + _stable_ranks(dist, ranked, rows, cols)),
+            n_gallery)
+        n_rel = np.bincount(rows, minlength=len(q))
+        first = np.cumsum(n_rel) - n_rel
+        i = np.arange(1, len(rows) + 1) - first[rows]
+        valid = n_rel > 0
+        precision = ranked  # the sorted rows are no longer read
+        precision.fill(0.0)
+        precision[rows, rank] = i / (rank + 1)
+        return rank[first[valid]], precision.sum(axis=1)[valid] / n_rel[valid]
+    finally:
+        free.append(pair)
 
 
 def _check_finite(x, side):
@@ -193,7 +209,11 @@ def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
     workers = min(len(blocks), _usable_cpus())
     if workers > 1:
         blocks = _query_blocks(len(q), n_gallery, workers)
-    jobs = [(q[b], q_labels[b], lo[b], hi[b], g, g_sq, g_labels, order)
+    # one pair of block-sized arrays per worker, allocated here, once
+    height = max((b.stop - b.start for b in blocks), default=0)
+    free = [(np.empty((height, n_gallery)), np.empty((height, n_gallery)))
+            for _ in range(workers)]
+    jobs = [(q[b], q_labels[b], lo[b], hi[b], g, g_sq, g_labels, order, free)
             for b in blocks]
     if workers <= 1:
         results = [_rank_block(*job) for job in jobs]

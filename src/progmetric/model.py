@@ -8,6 +8,7 @@ checked against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -135,29 +136,39 @@ class ForwardCache(NamedTuple):
     z_soft: np.ndarray  # softmax-head output, the classifier's input
 
 
-def forward(params: ModelParams, features):
-    """(embeddings, logits) for a batch of input rows.
+def embed(params: ModelParams, features):
+    """Embeddings of a batch of input rows, for inference.
 
-    Inference keeps no backward cache: the trunk output is rectified in
-    place, so besides its input the pass holds the trunk output, the two
-    heads and what it returns.
+    It computes no logits and keeps no backward cache: the trunk output is
+    rectified in place, so besides its input the pass holds the trunk
+    output and the embedding it returns.
     """
     h = _trunk(params, features)[1]
     np.maximum(h, 0.0, out=h)
-    emb, z_soft = _heads(params, h)
-    return emb, classify(params, z_soft)
+    return _heads(params, h)
+
+
+def forward(params: ModelParams, features):
+    """(embeddings, logits) for a batch of input rows.
+
+    The trunk output is gone before the logits are built: the classifier
+    reads the embedding's softmax half as a view.
+    """
+    emb = embed(params, features)
+    return emb, classify(params, emb[:, emb.shape[1] // 2:])
 
 
 def forward_with_cache(params: ModelParams, features):
     """(embeddings, ForwardCache) for a training batch.
 
     It computes no logits: a loss that reads them gets them from
-    `classify(params, cache.z_soft)`.
+    `classify(params, cache.z_soft)`.  `cache.z_soft` is a view of the
+    embedding's softmax half.
     """
     x, h_pre = _trunk(params, features)
     h = np.maximum(h_pre, 0.0)
-    emb, z_soft = _heads(params, h)
-    return emb, ForwardCache(x, h_pre, h, z_soft)
+    emb = _heads(params, h)
+    return emb, ForwardCache(x, h_pre, h, emb[:, emb.shape[1] // 2:])
 
 
 # Each layer adds its bias in place (t = a @ W; t += b): the same float
@@ -177,12 +188,15 @@ def _trunk(params, features):
 
 
 def _heads(params, h):
-    """(embeddings, softmax-head output) from the rectified trunk."""
-    z_trip = h @ params.w_trip
-    z_trip += params.b_trip
-    z_soft = h @ params.w_soft
-    z_soft += params.b_soft
-    return np.concatenate([z_trip, z_soft], axis=1), z_soft
+    """Embeddings from the rectified trunk: each head's product is written
+    straight into its half, so no head is built apart and then copied, and
+    both biases are added in one pass over the embedding."""
+    half = params.w_trip.shape[1]
+    emb = np.empty((h.shape[0], 2 * half))
+    np.matmul(h, params.w_trip, out=emb[:, :half])
+    np.matmul(h, params.w_soft, out=emb[:, half:])
+    emb += np.concatenate([params.b_trip, params.b_soft])
+    return emb
 
 
 def classify(params: ModelParams, z_soft):
@@ -238,8 +252,12 @@ class OptimizerConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise InvalidInputError("alpha0 must be positive")
+        # a step whose zero gradient meets zero moments moves no weight only
+        # with a finite rate and a positive finite epsilon
+        if not 0.0 < self.alpha0 < math.inf:
+            raise InvalidInputError("alpha0 must be positive and finite")
+        if not 0.0 < self.epsilon < math.inf:
+            raise InvalidInputError("epsilon must be positive and finite")
         if self.e0 >= self.e1:
             raise InvalidInputError("e0 must be smaller than e1")
         for b in (self.beta1_early, self.beta1_late, self.beta2):
@@ -280,15 +298,24 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
-              lr, beta1, cfg: OptimizerConfig):
-    """One bias-corrected adaptive-moment update of every weight, in place."""
-    if not grads.all_finite():
+              lr, beta1, cfg: OptimizerConfig, classifier=True):
+    """One bias-corrected adaptive-moment update, in place.
+
+    classifier False steps the trunk and head entries alone: the classifier
+    (`w_cls`, `b_cls`, last in PARAM_FIELDS), its moments and its gradient
+    are neither read nor written.  While those moments are +0.0 and that
+    gradient is 0, a whole step would leave every byte of them as it is.
+    """
+    end = params.flat.size
+    if not classifier:
+        end -= params.w_cls.size + params.b_cls.size
+    g, w, m, v = (a.flat[:end] for a in (grads, params, state.m, state.v))
+    if not np.isfinite(g).all():
         raise NonFiniteGradientError("non-finite gradient encountered")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    g, w, m, v = grads.flat, params.flat, state.m.flat, state.v.flat
     m *= beta1
     m += (1.0 - beta1) * g
     v *= cfg.beta2

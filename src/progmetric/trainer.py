@@ -243,6 +243,10 @@ class TrainingRun:
         self.layout = losses.triplet_layout(
             np.repeat(np.arange(batch_spec.P), batch_spec.K))
         self.grads = self.params.like(np.empty_like(self.params.flat))
+        # Adam steps the classifier from the run's first logit-mode step on.
+        # Before it the classifier's moments are +0.0 and its gradient 0, so
+        # a whole step would leave the classifier's bytes as they are.
+        self.steps_classifier = False
         self.opt_cfg = opt_cfg
         self.rows = []  # one EpochStats per trained epoch; never rewound
 
@@ -262,6 +266,7 @@ class TrainingRun:
         it can; the batches are the same either way.
         """
         start = len(self.rows)
+        self.steps_classifier = self.steps_classifier or mode in LOGIT_MODES
         with self.sampler.drawing_ahead(n_epochs * self.sampler.batches_per_epoch):
             for _ in range(n_epochs):
                 lr = lr_schedule(self.epoch, self.opt_cfg)
@@ -277,7 +282,7 @@ class TrainingRun:
                         mode, emb, logits, self.class_ids_for(idx), w, self.layout)
                     backward(self.params, cache, d_emb, d_logits, out=self.grads)
                     adam_step(self.params, self.grads, self.adam, lr, beta1,
-                              self.opt_cfg)
+                              self.opt_cfg, classifier=self.steps_classifier)
                     acc += (breakdown.softmax_term, breakdown.gbh_term, breakdown.total)
                 acc /= self.sampler.batches_per_epoch
                 self.rows.append(EpochStats(phase=phase, candidate=candidate, w=w, lr=lr,
@@ -291,6 +296,7 @@ class TrainingRun:
     def restore(self, ckpt: Checkpoint):
         self.params = ckpt.params.copy()
         self.adam = ckpt.adam.copy()
+        self.steps_classifier = True  # the checkpoint's moments may be nonzero
 
 
 def explore(run: TrainingRun, w: HyperParams, cfg: PlaConfig, candidate):

@@ -33,6 +33,7 @@ from progmetric.model import (
     OptimizerConfig,
     beta1_schedule,
     classify,
+    embed,
     forward,
     forward_with_cache,
     backward,
@@ -351,8 +352,8 @@ def test_criterion_8_behavioral_reproduction():
     w_fix = HyperParams(1.0, 0.2, 1, 1)
 
     def rank1(params):
-        qe, _ = forward(params, qg.query_embeddings)
-        ge, _ = forward(params, qg.gallery_embeddings)
+        qe = embed(params, qg.query_embeddings)
+        ge = embed(params, qg.gallery_embeddings)
         return evaluate(QueryGallerySplit(qe, qg.query_labels,
                                           ge, qg.gallery_labels)).rank1
 

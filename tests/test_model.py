@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -25,6 +26,7 @@ from progmetric.model import (
     backward,
     beta1_schedule,
     classify,
+    embed,
     forward,
     forward_with_cache,
     lr_schedule,
@@ -145,10 +147,22 @@ def test_forward_matches_out_of_place_reference(n, kind):
     assert all(same_bytes(a, b) for a, b in zip(cache, want_cache, strict=True))
 
 
-@pytest.mark.parametrize("fn, bound", [(forward, 1.3), (forward_with_cache, 0.5)])
+@pytest.mark.parametrize("n", [1, 7, 6144])
+def test_embed_equals_forward_embedding(n):
+    params = large_model(n)
+    x = np.random.default_rng(n + 2).normal(size=(n, LARGE.d_in))
+    emb = embed(params, x)
+    assert same_bytes(emb, forward(params, x)[0])
+    assert same_bytes(emb, out_of_place_forward(params, x)[0])
+
+
+@pytest.mark.parametrize("fn, bound", [(forward, 1.15), (embed, 0.25),
+                                       (forward_with_cache, 0.5)])
 def test_forward_peak_memory_in_logits_arrays(fn, bound):
-    # out-of-place adds and a cached forward held 2.38 logits-sized arrays;
-    # the training forward computes no logits, and its cache is 0.375 of one
+    # out-of-place adds and a cached forward held 2.38 logits-sized arrays.
+    # forward holds its logits and the embedding (1.07), embed the trunk
+    # output and the embedding (0.20); the training forward computes no
+    # logits, and its cache is 0.32 of one
     params = large_model(0)
     x = np.random.default_rng(1).normal(size=(6144, LARGE.d_in))
     fn(params, x)
@@ -230,6 +244,15 @@ def grads_like(params, value):
     for a in g.arrays():
         a[...] = value
     return g
+
+
+def test_optimizer_config_rejects_nonfinite_rate_and_epsilon():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="alpha0"):
+            OptimizerConfig(alpha0=bad)
+    for bad in (0.0, -1e-8, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="epsilon"):
+            OptimizerConfig(epsilon=bad)
 
 
 def test_adam_first_step_unit_gradient():
@@ -452,6 +475,29 @@ def test_adam_step_matches_per_array_reference():
         assert all_equal(state.m.arrays(), ref_m)
         assert all_equal(state.v.arrays(), ref_v)
     assert lr_schedule(49, cfg) < cfg.alpha0 and beta1_schedule(49, cfg) == 0.5
+
+
+def test_adam_step_without_classifier_equals_whole_step_on_zero_gradient():
+    # a step that leaves the classifier out matches a whole step whose
+    # classifier gradient is 0 while the classifier's moments are +0.0
+    cfg = OptimizerConfig(alpha0=1e-2, e0=2, e1=6, beta1_switch_epoch=4)
+    params = tiny_model(22)
+    whole = params.copy()
+    state, whole_state = AdamState.zeros_like(params), AdamState.zeros_like(params)
+    n_cls = params.w_cls.size + params.b_cls.size
+    rng = np.random.default_rng(23)
+    for epoch in range(8):
+        lr, beta1 = lr_schedule(epoch, cfg), beta1_schedule(epoch, cfg)
+        grads = grads_like(params, 0.0)
+        grads.flat[:-n_cls] = rng.normal(size=grads.flat.size - n_cls)
+        adam_step(whole, grads, whole_state, lr, beta1, cfg)
+        grads.w_cls[...] = grads.b_cls[...] = np.nan  # not read
+        adam_step(params, grads, state, lr, beta1, cfg, classifier=False)
+        assert state.step == whole_state.step == epoch + 1
+        for got, want in ((params, whole), (state.m, whole_state.m),
+                          (state.v, whole_state.v)):
+            assert same_bytes(got.flat, want.flat)
+    assert not whole_state.m.w_cls.any() and not whole_state.v.b_cls.any()
 
 
 @pytest.mark.parametrize("field", PARAM_FIELDS)

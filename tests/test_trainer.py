@@ -150,7 +150,7 @@ def test_run_pla_same_with_one_cpu_as_with_a_producer(monkeypatch, forks, config
 def test_training_that_raises_mid_block_leaves_no_process(monkeypatch, forks):
     calls = []
 
-    def failing_step(*args):
+    def failing_step(*args, **kwargs):
         calls.append(1)
         if len(calls) == 7:
             raise FloatingPointError("step 7 failed")
@@ -198,6 +198,49 @@ def test_modes_without_logits_leave_the_classifier_at_its_init(mode):
         assert getattr(res.final_params, name).tobytes() == getattr(init, name).tobytes()
     assert not np.array_equal(res.final_params.w_trunk, init.w_trunk)
     assert [r.mean_ce for r in res.report.rows] == [0.0] * 5
+
+
+MODE_SEQUENCES = [("batch_hard",), ("triplet_only",), ("composite_fixed", "batch_hard"),
+                  ("batch_hard", "ce_only", "triplet_only")]
+
+
+@pytest.mark.parametrize("modes", MODE_SEQUENCES, ids="+".join)
+def test_classifier_left_out_of_adam_changes_no_byte(monkeypatch, modes):
+    # Adam leaves the classifier out until the run's first logit-mode step;
+    # every byte of the run equals that of a run whose steps are all whole
+    x, y = small_data(center_scale=2.0)
+    w = HyperParams(lam=1.0, margin=0.2, k=2, p=3)
+
+    def train():
+        run = TrainingRun(x, y, MODEL, OptimizerConfig(), BATCH, seed=6)
+        for mode in modes:
+            run.train_epochs(mode, w, 3, phase="train", candidate=0)
+        return run
+
+    got = train()
+    whole_step = trainer.adam_step
+    monkeypatch.setattr(trainer, "adam_step",
+                        lambda *args, classifier: whole_step(*args))
+    want = train()
+    for a, b in ((got.params, want.params), (got.adam.m, want.adam.m),
+                 (got.adam.v, want.adam.v)):
+        assert a.flat.tobytes() == b.flat.tobytes()
+    assert got.adam.step == want.adam.step == 3 * len(modes) * 6
+    assert got.rows == want.rows
+    assert got.steps_classifier == any(m in trainer.LOGIT_MODES for m in modes)
+
+
+def test_restored_run_steps_the_classifier():
+    # a checkpoint may carry classifier moments that a whole step would move
+    donor = make_run(8)
+    donor.train_epochs("composite_fixed", W, 2, phase="train", candidate=0)
+    assert donor.adam.m.w_cls.any()
+    run = make_run(9)
+    run.restore(donor.snapshot())
+    ckpt = run.snapshot()
+    run.train_epochs("batch_hard", W, 2, phase="train", candidate=0)
+    assert not np.array_equal(run.params.w_cls, ckpt.params.w_cls)
+    assert not np.array_equal(run.adam.v.b_cls, ckpt.adam.v.b_cls)
 
 
 def test_run_fixed_rejects_pla_and_unknown_modes():
