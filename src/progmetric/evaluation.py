@@ -33,6 +33,9 @@ class RetrievalMetrics:
 # size, so evaluation memory grows with the gallery, not with the number of
 # queries.
 BLOCK_BYTES = 8 << 20
+# Distances compared at once when counting ties at lower columns: 512 KiB
+# of float64, well under a block.
+TIE_ENTRIES = 1 << 16
 
 
 def _cross_distances(a, b, b_sq=None, out=None, work=None):
@@ -84,10 +87,9 @@ def _stable_ranks(dist, ranked, rows, cols):
     entries are all equal that order is the identity, so the rank is the
     column.  Elsewhere it is the count of entries below it, found by one
     binary search over the value-sorted rows for all pairs at once, plus the
-    count of equal entries at lower columns.  Only rows where the next sorted
-    entry equals a relevant distance need the second count; they read it off
-    their own stable argsort, which costs O(G log G) a row however many
-    items tie.
+    count of equal entries at lower columns.  Only pairs where the next
+    sorted entry equals the relevant distance need the second count; it is
+    taken over their rows' distances, TIE_ENTRIES of them at a time.
     """
     rank = cols.copy()
     varied = (ranked[:, :1] != ranked[:, -1:]).any(axis=1)  # slices: G may be 0
@@ -102,12 +104,12 @@ def _stable_ranks(dist, ranked, rows, cols):
         found += step * ((cand <= n) & (ranked[rows, np.minimum(cand, n) - 1] < value))
     after = np.minimum(found + 1, n - 1)
     tied = np.flatnonzero((after > found) & (ranked[rows, after] == value))
-    if tied.size:
-        tied_rows, which = np.unique(rows[tied], return_inverse=True)
-        order = np.argsort(dist[tied_rows], axis=1, kind="stable")
-        position = np.empty_like(order)
-        np.put_along_axis(position, order, np.arange(order.shape[1]), axis=1)
-        found[tied] = position[which, cols[tied]]
+    chunk = max(1, TIE_ENTRIES // max(n, 1))
+    for i in range(0, len(tied), chunk):
+        t = tied[i:i + chunk]
+        equal = dist[rows[t]] == value[t, None]
+        equal &= np.arange(n) < cols[t, None]
+        found[t] += np.count_nonzero(equal, axis=1)
     rank[search] = found
     return rank
 

@@ -20,7 +20,8 @@ class InsufficientDataError(ValueError):
 
 
 class BatchProducerError(RuntimeError):
-    """The process drawing a block's batches ended before they all arrived."""
+    """The batch producer ended mid-block, or its block has ended and taken
+    the sampler's stream with it."""
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,12 @@ def batches_per_epoch(dataset_size, spec: BatchSpec):
     return math.ceil(dataset_size / spec.batch_size)
 
 
-# Fewest batches a block draws on a forked producer.  Forking a training
-# process, with its exit and reap, takes 4-6 ms on a two-core x86-64 host,
-# as long as about 16 in-process draws of a 16 x 8 batch (260-280 us each):
-# a shorter block would spend more on the fork than its draws take off the
-# training loop.
+# Smallest batch budget (the batches a run expects to draw) for which the
+# run draws on a forked producer.  Forking a training process, with its exit
+# and reap, takes 4-6 ms on a two-core x86-64 host, as long as about 16
+# in-process draws of a 16 x 8 batch (260-280 us each): a run with a smaller
+# budget would spend more on the fork than its draws take off the training
+# loop.
 MIN_FORKED_BATCHES = 16
 
 
@@ -91,7 +93,9 @@ class PKSampler:
 
     The identity pools are built (and the identity count checked) once, at
     construction; each sample only draws from them.  Inside `drawing_ahead`,
-    samples come from a forked producer that draws the same stream.
+    samples come from a forked producer that draws the same stream.  A
+    producer takes the stream with it: once its block ends, the sampler
+    draws no more.
     """
 
     def __init__(self, labels, spec: BatchSpec, seed):
@@ -102,91 +106,53 @@ class PKSampler:
         self._producer = None
 
     def sample(self):
-        producer = self._producer
-        if producer is None:
-            return _draw(self._pools, self.spec, self.rng)
-        idx = producer.next_batch()
-        if idx is None:
-            code = self._stop_producer()
-            if code is None:  # reaped by someone else: the status is gone
-                how = "ended"
-            elif code < 0:
-                how = f"was killed by signal {-code}"
-            else:
-                how = f"exited with status {code}"
-            raise BatchProducerError(
-                f"the batch producer (pid {producer.pid}) {how} with "
-                f"{producer.remaining} of its block's batches undrawn")
-        if producer.remaining == 0:
-            self._stop_producer()
-        return idx
+        if self._producer is not None:
+            return self._producer.next_batch()
+        if self.rng is None:
+            raise BatchProducerError(_SPENT)
+        return _draw(self._pools, self.spec, self.rng)
 
     @contextlib.contextmanager
     def drawing_ahead(self, n_batches):
-        """Draw the block's next n_batches samples on a forked process.
+        """Draw the block's samples, about n_batches, on a forked process.
 
-        The child draws with a copy of this sampler's pools and generator
-        and sends each batch with the generator state after it, so the
-        batches equal in-process draws.  Leaving the block, for any reason,
-        stops and reaps the child and sets the generator to the state after
-        the last batch consumed: the stream goes on as if every batch had
-        been drawn here.  Draws stay in process for a block shorter than
-        MIN_FORKED_BATCHES, when fewer than two CPUs are usable, another
-        Python thread runs, or a block is already open.
+        The child draws with a copy of this sampler's pools and generator,
+        so its batches equal in-process draws, and sends their indices until
+        the parent closes the pipe, also past n_batches.  The stream goes
+        with it: leaving the block, for any reason, stops and reaps the
+        child, and from then on `sample` and `drawing_ahead` raise
+        BatchProducerError.  Draws stay in process, with the stream here,
+        for n_batches under MIN_FORKED_BATCHES, when fewer than two CPUs are
+        usable, another Python thread runs, or a block is already open.
         """
+        if self._producer is None and self.rng is None:
+            raise BatchProducerError(_SPENT)
         if (self._producer is not None or n_batches < MIN_FORKED_BATCHES
                 or _usable_cpus() < 2 or threading.active_count() > 1):
             yield
             return
-        self._producer = _Producer(self._pools, self.spec, self.rng, n_batches)
+        self._producer = _Producer(self._pools, self.spec, self.rng)
+        self.rng = None
         try:
             yield
         finally:
-            if self._producer is not None:
-                self._stop_producer()
-
-    def _stop_producer(self):
-        """End the open block's producer; its exit code (None if unknown)."""
-        producer, self._producer = self._producer, None
-        status = producer.close()
-        if producer.last is not None:
-            self.rng.bit_generator.state = _unpack_state(producer.last[-_STATE_BYTES:])
-        return status
+            producer, self._producer = self._producer, None
+            producer.close()
 
     @property
     def batches_per_epoch(self):
         return batches_per_epoch(len(self.labels), self.spec)
 
 
-_INDEX = np.dtype(int)
-_STATE_BYTES = 48  # PCG64: 128-bit state and increment, has_uint32, uinteger
-
-
-def _pack_state(bit_generator):
-    s = bit_generator.state
-    return (s["state"]["state"].to_bytes(16, "little")
-            + s["state"]["inc"].to_bytes(16, "little")
-            + s["has_uint32"].to_bytes(8, "little")
-            + s["uinteger"].to_bytes(8, "little"))
-
-
-def _unpack_state(raw):
-    field = [int.from_bytes(raw[i:j], "little")
-             for i, j in ((0, 16), (16, 32), (32, 40), (40, 48))]
-    return {"bit_generator": "PCG64",
-            "state": {"state": field[0], "inc": field[1]},
-            "has_uint32": field[2], "uinteger": field[3]}
+_SPENT = "the sampler's stream went to a batch producer whose block has ended"
 
 
 class _Producer:
-    """A forked child that draws n batches and writes one record per batch
-    into a pipe: the indices' bytes, then the generator state after them."""
+    """A forked child that draws batches and writes each one's indices into
+    a pipe, until the parent closes it."""
 
-    def __init__(self, pools, spec: BatchSpec, rng, n_batches):
+    def __init__(self, pools, spec: BatchSpec, rng):
         self.n_index = spec.batch_size
-        self.record_size = self.n_index * _INDEX.itemsize + _STATE_BYTES
-        self.remaining = n_batches
-        self.last = None  # the last record read
         read_fd, write_fd = os.pipe()
         try:
             with warnings.catch_warnings():
@@ -200,19 +166,21 @@ class _Producer:
             os.close(write_fd)
             raise
         if pid == 0:
-            _produce(write_fd, pools, spec, rng, n_batches)
+            _produce(write_fd, pools, spec, rng)
         os.close(write_fd)
         self.pid = pid
         self.reader = open(read_fd, "rb", buffering=1 << 16)
 
     def next_batch(self):
-        """The next batch's indices, or None if the child ended first."""
-        record = bytearray(self.record_size)
-        if self.reader.readinto(record) != self.record_size:
-            return None
-        self.remaining -= 1
-        self.last = record
-        return np.frombuffer(record, dtype=_INDEX, count=self.n_index)
+        """The next batch's indices; BatchProducerError if the child ended."""
+        idx = np.empty(self.n_index, dtype=int)
+        if not self.reader.closed and self.reader.readinto(idx) == idx.nbytes:
+            return idx
+        code = self.close()
+        how = ("ended" if code is None  # reaped elsewhere: the status is gone
+               else f"was killed by signal {-code}" if code < 0
+               else f"exited with status {code}")
+        raise BatchProducerError(f"the batch producer (pid {self.pid}) {how} mid-block")
 
     def close(self):
         """Close the pipe (a child still writing gets EPIPE and exits) and
@@ -225,7 +193,7 @@ class _Producer:
             return None
 
 
-def _produce(write_fd, pools, spec, rng, n_batches):
+def _produce(write_fd, pools, spec, rng):
     """The producer child's whole life; it never returns.
 
     It closes every descriptor it inherited but stdio and its own write
@@ -238,11 +206,10 @@ def _produce(write_fd, pools, spec, rng, n_batches):
         os.closerange(3, write_fd)
         os.closerange(write_fd + 1, os.sysconf("SC_OPEN_MAX"))
         with open(write_fd, "wb") as out:
-            for _ in range(n_batches):
-                out.write(_draw(pools, spec, rng).tobytes()
-                          + _pack_state(rng.bit_generator))
+            while True:
+                out.write(_draw(pools, spec, rng).tobytes())
                 out.flush()
-    except BrokenPipeError:  # the parent left the block early
+    except BrokenPipeError:  # the parent closed the pipe
         pass
     except BaseException:
         code = 1

@@ -225,7 +225,9 @@ class TrainingRun:
 
     The sampler lays every batch out as P distinct identities in K-long
     blocks, so all batches share one triplet layout, built here once, and
-    each batch's gradients go into one buffer the run owns.
+    each batch's gradients go into one buffer the run owns.  Driven
+    directly, the run draws its batches in process; `run_fixed` and
+    `run_pla` open one `drawing_ahead` block for the whole run.
     """
 
     def __init__(self, features, labels, model_cfg: ModelConfig,
@@ -262,32 +264,31 @@ class TrainingRun:
     def train_epochs(self, mode, w: HyperParams, n_epochs, phase, candidate):
         """Run n_epochs of mini-batch training; appends and returns their stats.
 
-        The sampler draws the call's batches ahead, on a second process when
-        it can; the batches are the same either way.
+        The batches come from the run's sampler: in process, or from its
+        producer inside a `drawing_ahead` block the caller opened.
         """
         start = len(self.rows)
         self.steps_classifier = self.steps_classifier or mode in LOGIT_MODES
-        with self.sampler.drawing_ahead(n_epochs * self.sampler.batches_per_epoch):
-            for _ in range(n_epochs):
-                lr = lr_schedule(self.epoch, self.opt_cfg)
-                beta1 = beta1_schedule(self.epoch, self.opt_cfg)
-                acc = np.zeros(3)
-                for _ in range(self.sampler.batches_per_epoch):
-                    idx = self.sampler.sample()
-                    x = self.features[idx]
-                    emb, cache = forward_with_cache(self.params, x)
-                    logits = (classify(self.params, cache.z_soft)
-                              if mode in LOGIT_MODES else None)
-                    breakdown, d_emb, d_logits = batch_loss_and_grads(
-                        mode, emb, logits, self.class_ids_for(idx), w, self.layout)
-                    backward(self.params, cache, d_emb, d_logits, out=self.grads)
-                    adam_step(self.params, self.grads, self.adam, lr, beta1,
-                              self.opt_cfg, classifier=self.steps_classifier)
-                    acc += (breakdown.softmax_term, breakdown.gbh_term, breakdown.total)
-                acc /= self.sampler.batches_per_epoch
-                self.rows.append(EpochStats(phase=phase, candidate=candidate, w=w, lr=lr,
-                                            mean_ce=acc[0], mean_gbh=acc[1],
-                                            mean_total=acc[2]))
+        for _ in range(n_epochs):
+            lr = lr_schedule(self.epoch, self.opt_cfg)
+            beta1 = beta1_schedule(self.epoch, self.opt_cfg)
+            acc = np.zeros(3)
+            for _ in range(self.sampler.batches_per_epoch):
+                idx = self.sampler.sample()
+                x = self.features[idx]
+                emb, cache = forward_with_cache(self.params, x)
+                logits = (classify(self.params, cache.z_soft)
+                          if mode in LOGIT_MODES else None)
+                breakdown, d_emb, d_logits = batch_loss_and_grads(
+                    mode, emb, logits, self.class_ids_for(idx), w, self.layout)
+                backward(self.params, cache, d_emb, d_logits, out=self.grads)
+                adam_step(self.params, self.grads, self.adam, lr, beta1,
+                          self.opt_cfg, classifier=self.steps_classifier)
+                acc += (breakdown.softmax_term, breakdown.gbh_term, breakdown.total)
+            acc /= self.sampler.batches_per_epoch
+            self.rows.append(EpochStats(phase=phase, candidate=candidate, w=w, lr=lr,
+                                        mean_ce=acc[0], mean_gbh=acc[1],
+                                        mean_total=acc[2]))
         return self.rows[start:]
 
     def snapshot(self):
@@ -330,7 +331,8 @@ def run_fixed(features, labels, mode, w: HyperParams, n_epochs,
     if mode == "ce_only":
         w = HyperParams(lam=0.0, margin=w.margin, k=w.k, p=w.p)
     run = TrainingRun(features, labels, model_cfg, opt_cfg, batch_spec, seed)
-    stats = run.train_epochs(mode, w, n_epochs, phase="train", candidate=0)
+    with run.sampler.drawing_ahead(n_epochs * run.sampler.batches_per_epoch):
+        stats = run.train_epochs(mode, w, n_epochs, phase="train", candidate=0)
     report = RunReport(rows=run.rows, best_loss=min(
         (s.mean_total for s in stats), default=float("inf")))
     return RunResult(best_params=run.params.copy(), final_params=run.params,
@@ -354,26 +356,27 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
     objectives = [None] * len(candidates)
     best_params = run.params.copy()
     best_loss = float("inf")
-    for round_idx in itertools.count(1):
-        todo = [i for i, obj in enumerate(objectives)
-                if pla_cfg.re_explore_policy == "all" or obj is None]
-        if run.epoch + len(todo) * pla_cfg.explore_epochs >= pla_cfg.max_epochs:
-            break
-        for i in todo:
-            rec = explore(run, candidates[i], pla_cfg, candidate=i)
-            objectives[i] = rec.objective_value
-            report.explorations.append((round_idx, i, rec))
-        gp = fit_gp(candidates, objectives)
-        w_new = propose(gp, pla_cfg.pool_size, bo_rng)
-        candidates.append(w_new)
-        objectives.append(None)
-        report.chosen.append(w_new)
-        stats = run.train_epochs("composite_fixed", w_new, pla_cfg.exploit_epochs,
-                                 phase="exploit", candidate=len(candidates) - 1)
-        phase_mean = float(np.mean([s.mean_total for s in stats]))
-        if phase_mean < best_loss:
-            best_loss = phase_mean
-            best_params = run.params.copy()
+    with run.sampler.drawing_ahead(pla_cfg.max_epochs * run.sampler.batches_per_epoch):
+        for round_idx in itertools.count(1):
+            todo = [i for i, obj in enumerate(objectives)
+                    if pla_cfg.re_explore_policy == "all" or obj is None]
+            if run.epoch + len(todo) * pla_cfg.explore_epochs >= pla_cfg.max_epochs:
+                break
+            for i in todo:
+                rec = explore(run, candidates[i], pla_cfg, candidate=i)
+                objectives[i] = rec.objective_value
+                report.explorations.append((round_idx, i, rec))
+            gp = fit_gp(candidates, objectives)
+            w_new = propose(gp, pla_cfg.pool_size, bo_rng)
+            candidates.append(w_new)
+            objectives.append(None)
+            report.chosen.append(w_new)
+            stats = run.train_epochs("composite_fixed", w_new, pla_cfg.exploit_epochs,
+                                     phase="exploit", candidate=len(candidates) - 1)
+            phase_mean = float(np.mean([s.mean_total for s in stats]))
+            if phase_mean < best_loss:
+                best_loss = phase_mean
+                best_params = run.params.copy()
     report.best_loss = best_loss
     return RunResult(best_params=best_params, final_params=run.params,
                      report=report)

@@ -20,7 +20,8 @@ def no_child_process_left():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Two usable CPUs, so blocks fork a producer; lists each producer's pid.
+    """Two usable CPUs, so a run, or a long enough block, forks a producer;
+    lists each producer's pid.
 
     A producer still running at teardown is killed and reaped, and the test
     fails; so does one left unreaped.
@@ -44,4 +45,4 @@ def forks(monkeypatch):
                 os.waitpid(pid, 0)
             left.append(pid)
     if left:
-        pytest.fail(f"producers {left} outlived their blocks")
+        pytest.fail(f"producers {left} were not reaped when their blocks ended")

@@ -267,7 +267,7 @@ def test_train_nonfinite_gradient_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_train_batch_producer_killed_exits_1(tmp_path, capsys, monkeypatch, forks):
-    # 4 batches an epoch: 4-epoch explores are long enough to fork
+    # 4 batches an epoch: the run's 10-epoch budget is long enough to fork
     cfg = write_config(tmp_path, pla={"max_epochs": 10, "initial_design": 2,
                                       "explore_epochs": 4, "objective_split": 2,
                                       "exploit_epochs": 4, "pool_size": 16})

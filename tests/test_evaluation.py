@@ -486,6 +486,27 @@ def test_peak_memory_stays_per_block(monkeypatch):
         assert peak < 20 * 2**20
 
 
+def test_peak_memory_stays_per_block_on_tied_distances(monkeypatch):
+    # Rounded 2-d normals sit on a few grid points, so nearly every relevant
+    # distance ties with others in its row.  Counting the ties at lower
+    # columns takes TIE_ENTRIES distances at a time; a stable argsort of the
+    # tied rows and its inverse took 32.4 MiB here.
+    rng = np.random.default_rng(15)
+    split = labelled_split(rng, np.round(rng.normal(size=(2048, 2))),
+                           np.round(rng.normal(size=(6144, 2))), 512)
+    want = loop_evaluate(split)
+    for workers in (1, 2):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: workers)
+        tracemalloc.start()
+        try:
+            got = evaluate(split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert_same_metrics(got, want)
+
+
 def test_peak_memory_does_not_grow_with_block_count(workers, monkeypatch):
     # 150 two-row blocks against a 30000-row gallery.  A finished block keeps
     # only its queries' first-hit ranks and APs, so the peak is a few blocks'

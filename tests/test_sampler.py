@@ -165,38 +165,54 @@ def ahead_sampler(seed=11, spec=BatchSpec(4, 4)):
     return PKSampler(shuffled_labels(5), spec, seed)
 
 
-def test_producer_draws_equal_in_process_draws_across_blocks(forks):
+def test_producer_draws_equal_in_process_draws_across_blocks(forks, monkeypatch):
+    # blocks that stay in process (below the floor, one CPU) keep the stream
+    # here; the first forked block takes it over where they left it
     sampler, ref = ahead_sampler(), ahead_sampler()
-    for n in (FLOOR + 5, FLOOR, FLOOR + 17, 40):
-        with sampler.drawing_ahead(n):
-            for _ in range(n):
-                assert np.array_equal(sampler.sample(), ref.sample())
-    # draws outside a block go on with the same stream
-    for _ in range(3):
-        assert np.array_equal(sampler.sample(), ref.sample())
-    assert len(forks) == 4
+    with sampler.drawing_ahead(FLOOR - 1):
+        for _ in range(3):
+            assert np.array_equal(sampler.sample(), ref.sample())
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with sampler.drawing_ahead(FLOOR):
+            assert np.array_equal(sampler.sample(), ref.sample())
+    assert np.array_equal(sampler.sample(), ref.sample())
+    with sampler.drawing_ahead(FLOOR + 17):
+        for _ in range(FLOOR + 17):
+            assert np.array_equal(sampler.sample(), ref.sample())
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("k", (0, 1, 6))
-def test_stream_resumes_after_a_block_left_at_batch_k(forks, k):
+def test_block_left_at_batch_k_spends_the_stream(forks, monkeypatch, k):
+    # the producer took the generator's stream: after its block nothing may
+    # draw from, or fork from, the generator left behind, which would
+    # restart the stream at the block's first batch
     sampler, ref = ahead_sampler(), ahead_sampler()
     with pytest.raises(KeyError):
         with sampler.drawing_ahead(500):
             for _ in range(k):
                 assert np.array_equal(sampler.sample(), ref.sample())
             raise KeyError("training failed mid-block")
-    assert sampler.rng.bit_generator.state == ref.rng.bit_generator.state
-    for n in (FLOOR + 3, FLOOR + 8):
-        with sampler.drawing_ahead(n):
-            for _ in range(n):
-                assert np.array_equal(sampler.sample(), ref.sample())
-    assert len(forks) == 3
+    with pytest.raises(BatchProducerError, match="block has ended"):
+        sampler.sample()
+    for n in (FLOOR + 3, 1):
+        with pytest.raises(BatchProducerError, match="block has ended"):
+            with sampler.drawing_ahead(n):
+                sampler.sample()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(BatchProducerError, match="block has ended"):
+        with sampler.drawing_ahead(FLOOR):
+            pass
+    assert len(forks) == 1
 
 
-def test_sampling_past_the_block_count_draws_in_process(forks):
+def test_sampling_past_the_hint_reads_the_producer(forks, monkeypatch):
     sampler, ref = ahead_sampler(), ahead_sampler()
     with sampler.drawing_ahead(FLOOR):
-        for _ in range(FLOOR + 5):
+        # a draw in this process would fail
+        monkeypatch.setattr(sampler, "_pools", None)
+        for _ in range(3 * FLOOR + 5):
             assert np.array_equal(sampler.sample(), ref.sample())
     assert len(forks) == 1
 
@@ -213,20 +229,21 @@ def test_nested_and_interleaved_blocks_finish(forks):
     # each producer must hold no other sampler's read end: if it did, ending
     # the other block would not stop that block's producer, which blocks on
     # its full pipe, and reaping it would hang
-    a, b, ref_a, ref_b = (ahead_sampler(seed) for seed in (1, 2, 1, 2))
+    a, b, c, d, ref_a, ref_b, ref_c, ref_d = (
+        ahead_sampler(seed) for seed in (1, 2, 3, 4, 1, 2, 3, 4))
     with time_limit(30):
         with a.drawing_ahead(3000):
             a.sample(), ref_a.sample()
             with b.drawing_ahead(3000):
                 b.sample(), ref_b.sample()
-        outer = a.drawing_ahead(3000)
+            assert np.array_equal(a.sample(), ref_a.sample())
+        outer = c.drawing_ahead(3000)
         outer.__enter__()
-        with b.drawing_ahead(3000):
-            b.sample(), ref_b.sample()
-            a.sample(), ref_a.sample()
+        with d.drawing_ahead(3000):
+            d.sample(), ref_d.sample()
+            c.sample(), ref_c.sample()
             outer.__exit__(None, None, None)
-            assert np.array_equal(b.sample(), ref_b.sample())
-    assert np.array_equal(a.sample(), ref_a.sample())
+            assert np.array_equal(d.sample(), ref_d.sample())
     assert len(forks) == 4
 
 
@@ -241,8 +258,9 @@ def test_killed_producer_raises_typed_error_and_is_reaped(forks):
                 ref.sample()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    # the generator holds the state after the last batch read
-    assert np.array_equal(sampler.sample(), ref.sample())
+    # the dead producer took the stream with it
+    with pytest.raises(BatchProducerError, match="block has ended"):
+        sampler.sample()
 
 
 def test_one_usable_cpu_draws_in_process(monkeypatch, forks):

@@ -134,17 +134,35 @@ def test_run_pla_same_with_one_cpu_as_with_a_producer(monkeypatch, forks, config
     x, y = desk_data(config)
     model_cfg = ModelConfig(d_in=32, hidden=64, embed_dim=32)
     two = run_pla(x, y, DESK_PLA[config], model_cfg, OptimizerConfig(), seed=seed)
-    # one producer per explore and exploit phase
-    assert len(forks) == len(two.report.explorations) + len(two.report.chosen)
+    assert len(forks) == 1  # one producer for the whole run
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     one = run_pla(x, y, DESK_PLA[config], model_cfg, OptimizerConfig(), seed=seed)
-    assert len(forks) == len(two.report.explorations) + len(two.report.chosen)
+    assert len(forks) == 1
     assert one.report.rows == two.report.rows
     assert one.report.explorations == two.report.explorations
     assert one.report.chosen == two.report.chosen
     assert one.report.best_loss == two.report.best_loss
     assert params_equal(one.best_params, two.best_params)
     assert params_equal(one.final_params, two.final_params)
+
+
+def test_a_run_forks_one_producer_or_none_below_the_floor(forks):
+    x, y = desk_data("criterion8")
+    model_cfg = ModelConfig(d_in=32, hidden=64, embed_dim=32)
+    run_pla(x, y, DESK_PLA["criterion8"], model_cfg, OptimizerConfig(), seed=0)
+    assert len(forks) == 1
+    run_fixed(x, y, "composite_fixed", W, 4, model_cfg, OptimizerConfig(),
+              BatchSpec(16, 8), seed=0)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):  # both producers are reaped
+        os.waitpid(-1, os.WNOHANG)
+    # budgets of 12 and 15 batches; the PLA run draws 21
+    x, y = small_data()
+    run_fixed(x, y, "batch_hard", W, 2, MODEL, OptimizerConfig(), BATCH, seed=0)
+    res = run_pla(x, y, small_pla(max_epochs=5, batch_spec=BatchSpec(4, 4)),
+                  MODEL, OptimizerConfig(), seed=0)
+    assert res.report.total_epochs == 7
+    assert len(forks) == 2
 
 
 def test_training_that_raises_mid_block_leaves_no_process(monkeypatch, forks):
