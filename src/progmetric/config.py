@@ -26,6 +26,10 @@ class SplitConfig:
     open_set: bool = False
     test_fraction: float = 0.5
 
+    def __post_init__(self):
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction!r}")
+
 
 @dataclass
 class RunConfig:
@@ -61,15 +65,29 @@ _SET_ELSEWHERE = {PlaConfig: {"batch_spec": "the top-level batch section"},
                                 "d_in": "data.dim"}}
 
 
+# the JSON types a value may have for each declared scalar field type; a
+# bool is no number here, though Python counts it as an int
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _check_type(field_type, value, path):
+    allowed = _JSON_TYPES.get(field_type)
+    if allowed is not None and type(value) not in allowed:
+        raise ConfigError(f"{path}: expected {field_type}, got {value!r}")
+
+
 def _build(cls, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
     derived = _SET_ELSEWHERE.get(cls, {})
-    allowed = {f.name for f in dataclasses.fields(cls)} - derived.keys()
+    field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+    allowed = field_types.keys() - derived.keys()
     unknown = sorted(set(data) - allowed)
     if unknown:
         notes = "".join(f"; {path}.{k} comes from {derived[k]}" for k in unknown if k in derived)
         raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}{notes}")
+    for key, value in data.items():
+        _check_type(field_types[key], value, f"{path}.{key}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -79,10 +97,10 @@ def _build(cls, data, path):
 def config_from_dict(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
-    allowed = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(raw) - allowed)
+    field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    unknown = sorted(set(raw) - field_types.keys())
     if unknown:
-        raise ConfigError(f"top level: unknown keys {unknown}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"top level: unknown keys {unknown}; allowed: {sorted(field_types)}")
     epochs = raw.get("epochs")
     if epochs is not None and (type(epochs) is not int or epochs < 1):
         raise ConfigError(f"epochs: expected null or an integer >= 1, got {epochs!r}")
@@ -91,6 +109,7 @@ def config_from_dict(raw) -> RunConfig:
         if key in _SECTION_TYPES:
             kwargs[key] = _build(_SECTION_TYPES[key], value, key)
         else:
+            _check_type(field_types[key], value, key)
             kwargs[key] = value
     cfg = RunConfig(**kwargs)
     cfg.pla = dataclasses.replace(cfg.pla, batch_spec=cfg.batch)

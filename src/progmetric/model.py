@@ -36,6 +36,9 @@ class ModelConfig:
     n_classes: int = 2
 
     def __post_init__(self):
+        for name in ("d_in", "hidden", "embed_dim", "n_classes"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % 2 != 0:
             raise InvalidInputError("embed_dim must be even (two concatenated heads)")
 
@@ -55,7 +58,7 @@ class ModelParams:
     the named fields are reshaped views into it, so an in-place write
     through either shows in the other.  The constructor packs (copies) the
     arrays it is given.  Fields cannot be rebound, which would detach them
-    from `flat`.  Gradients and Adam moments use the same layout.
+    from `flat`.  Gradients use the same layout, Adam moments a prefix of it.
     """
 
     w_trunk: np.ndarray
@@ -131,21 +134,17 @@ class ForwardCache(NamedTuple):
     """What `backward` reads of a training forward pass."""
 
     x: np.ndarray
-    h_pre: np.ndarray  # trunk output before the rectifier
-    h: np.ndarray
+    h: np.ndarray  # rectified trunk output
     z_soft: np.ndarray  # softmax-head output, the classifier's input
 
 
 def embed(params: ModelParams, features):
     """Embeddings of a batch of input rows, for inference.
 
-    It computes no logits and keeps no backward cache: the trunk output is
-    rectified in place, so besides its input the pass holds the trunk
-    output and the embedding it returns.
+    It computes no logits and keeps no backward cache: besides its input
+    the pass holds the trunk output and the embedding it returns.
     """
-    h = _trunk(params, features)[1]
-    np.maximum(h, 0.0, out=h)
-    return _heads(params, h)
+    return _heads(params, _trunk(params, features)[1])
 
 
 def forward(params: ModelParams, features):
@@ -165,10 +164,9 @@ def forward_with_cache(params: ModelParams, features):
     `classify(params, cache.z_soft)`.  `cache.z_soft` is a view of the
     embedding's softmax half.
     """
-    x, h_pre = _trunk(params, features)
-    h = np.maximum(h_pre, 0.0)
+    x, h = _trunk(params, features)
     emb = _heads(params, h)
-    return emb, ForwardCache(x, h_pre, h, emb[:, emb.shape[1] // 2:])
+    return emb, ForwardCache(x, h, emb[:, emb.shape[1] // 2:])
 
 
 # Each layer adds its bias in place (t = a @ W; t += b): the same float
@@ -176,15 +174,17 @@ def forward_with_cache(params: ModelParams, features):
 # array.
 
 def _trunk(params, features):
-    """(x, trunk pre-activation) for a batch of input rows."""
+    """(x, rectified trunk output) for a batch of input rows; the rectifier
+    runs in place on the trunk product."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.w_trunk.shape[0]:
         raise InvalidInputError(
             f"expected features of shape (N, {params.w_trunk.shape[0]})"
         )
-    h_pre = x @ params.w_trunk
-    h_pre += params.b_trunk
-    return x, h_pre
+    h = x @ params.w_trunk
+    h += params.b_trunk
+    np.maximum(h, 0.0, out=h)
+    return x, h
 
 
 def _heads(params, h):
@@ -215,7 +215,7 @@ def backward(params: ModelParams, cache: ForwardCache, d_emb, d_logits, out=None
     the same layout, every entry overwritten) and returned; without it,
     into a fresh buffer.
     """
-    x, h_pre, h, z_soft = cache
+    x, h, z_soft = cache
     half = params.w_trip.shape[1]
     d_zt = d_emb[:, :half]
     d_zs = d_emb[:, half:]
@@ -232,7 +232,8 @@ def backward(params: ModelParams, cache: ForwardCache, d_emb, d_logits, out=None
     np.matmul(h.T, d_zs, out=grads.w_soft)
     d_zs.sum(axis=0, out=grads.b_soft)
     d_h = d_zt @ params.w_trip.T + d_zs @ params.w_soft.T
-    d_hpre = d_h * (h_pre > 0.0)
+    # h > 0 exactly where the pre-activation is (NaN reads false in both)
+    d_hpre = d_h * (h > 0.0)
     np.matmul(x.T, d_hpre, out=grads.w_trunk)
     d_hpre.sum(axis=0, out=grads.b_trunk)
     return grads
@@ -252,8 +253,9 @@ class OptimizerConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        # a step whose zero gradient meets zero moments moves no weight only
-        # with a finite rate and a positive finite epsilon
+        # trained entries can get zero gradients (the triplet head in
+        # ce_only); a step whose zero gradient meets zero moments moves no
+        # weight only with a finite rate and a positive finite epsilon
         if not 0.0 < self.alpha0 < math.inf:
             raise InvalidInputError("alpha0 must be positive and finite")
         if not 0.0 < self.epsilon < math.inf:
@@ -282,34 +284,31 @@ def beta1_schedule(epoch, cfg: OptimizerConfig):
 
 @dataclass
 class AdamState:
-    """First and second moments, each in the layout of the model's params."""
+    """First and second moments of the leading entries of the params' flat
+    vector that a run trains, as plain flat arrays."""
 
-    m: ModelParams
-    v: ModelParams
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def zeros_like(cls, params: ModelParams):
-        return cls(m=params.like(np.zeros_like(params.flat)),
-                   v=params.like(np.zeros_like(params.flat)))
+    def zeros(cls, n_trained):
+        return cls(m=np.zeros(n_trained), v=np.zeros(n_trained))
 
     def copy(self):
         return AdamState(m=self.m.copy(), v=self.v.copy(), step=self.step)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
-              lr, beta1, cfg: OptimizerConfig, classifier=True):
+              lr, beta1, cfg: OptimizerConfig):
     """One bias-corrected adaptive-moment update, in place.
 
-    classifier False steps the trunk and head entries alone: the classifier
-    (`w_cls`, `b_cls`, last in PARAM_FIELDS), its moments and its gradient
-    are neither read nor written.  While those moments are +0.0 and that
-    gradient is 0, a whole step would leave every byte of them as it is.
+    It steps as many leading entries of `params.flat` as `state` has
+    moments; the entries after them, and their gradients, are neither read
+    nor written.
     """
-    end = params.flat.size
-    if not classifier:
-        end -= params.w_cls.size + params.b_cls.size
-    g, w, m, v = (a.flat[:end] for a in (grads, params, state.m, state.v))
+    end = state.m.size
+    g, w, m, v = grads.flat[:end], params.flat[:end], state.m, state.v
     if not np.isfinite(g).all():
         raise NonFiniteGradientError("non-finite gradient encountered")
     state.step += 1

@@ -91,8 +91,8 @@ def split(dataset: LabeledDataset, query_per_identity, rng: np.random.Generator,
 
     Closed-set: every identity contributes query_per_identity queries, the
     rest gallery; training uses all samples.  Open-set: identities split
-    into a train set (tag 'train') and a disjoint test set that is divided
-    into query/gallery.
+    into a nonempty train set (tag 'train') and a disjoint test set that is
+    divided into query/gallery.
     """
     labels = dataset.labels
     # the plain np.unique, not return_counts: only its hash path imports
@@ -109,8 +109,12 @@ def split(dataset: LabeledDataset, query_per_identity, rng: np.random.Generator,
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
     held_out = [True] * len(ids)
     if open_set:
-        perm = rng.permutation(ids)
         n_test = max(2, int(round(test_fraction * len(ids))))
+        if n_test >= len(ids):
+            raise InvalidInputError(
+                f"open-set split: test_fraction {test_fraction} holds out {n_test} of "
+                f"{len(ids)} identities, leaving none to train on")
+        perm = rng.permutation(ids)
         test_ids = set(perm[:n_test].tolist())
         held_out = [i in test_ids for i in ids.tolist()]
     for rows, test in zip(groups, held_out):

@@ -228,10 +228,16 @@ class TrainingRun:
     each batch's gradients go into one buffer the run owns.  Driven
     directly, the run draws its batches in process; `run_fixed` and
     `run_pla` open one `drawing_ahead` block for the whole run.
+
+    A run trains one loss mode, and Adam has moments for the entries it
+    trains: the classifier (last in PARAM_FIELDS) only in LOGIT_MODES.
     """
 
-    def __init__(self, features, labels, model_cfg: ModelConfig,
+    def __init__(self, features, labels, mode, model_cfg: ModelConfig,
                  opt_cfg: OptimizerConfig, batch_spec: BatchSpec, seed):
+        if mode not in TRAIN_MODES or mode == "pla":
+            raise ValueError(f"a training run cannot train mode {mode!r}")
+        self.mode = mode
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels)
         classes, self.class_ids = np.unique(self.labels, return_inverse=True)
@@ -240,15 +246,12 @@ class TrainingRun:
             embed_dim=model_cfg.embed_dim, n_classes=len(classes))
         rng = np.random.default_rng(seed)
         self.params = ModelParams.init(self.model_cfg, rng)
-        self.adam = AdamState.zeros_like(self.params)
+        n_cls = 0 if mode in LOGIT_MODES else self.params.w_cls.size + self.params.b_cls.size
+        self.adam = AdamState.zeros(self.params.flat.size - n_cls)
         self.sampler = PKSampler(self.labels, batch_spec, rng.integers(2**63))
         self.layout = losses.triplet_layout(
             np.repeat(np.arange(batch_spec.P), batch_spec.K))
         self.grads = self.params.like(np.empty_like(self.params.flat))
-        # Adam steps the classifier from the run's first logit-mode step on.
-        # Before it the classifier's moments are +0.0 and its gradient 0, so
-        # a whole step would leave the classifier's bytes as they are.
-        self.steps_classifier = False
         self.opt_cfg = opt_cfg
         self.rows = []  # one EpochStats per trained epoch; never rewound
 
@@ -261,14 +264,14 @@ class TrainingRun:
         """Dense class index (logit column) of each sample index."""
         return self.class_ids[idx]
 
-    def train_epochs(self, mode, w: HyperParams, n_epochs, phase, candidate):
-        """Run n_epochs of mini-batch training; appends and returns their stats.
+    def train_epochs(self, w: HyperParams, n_epochs, phase, candidate):
+        """Run n_epochs of mini-batch training in the run's mode; appends and
+        returns their stats.
 
         The batches come from the run's sampler: in process, or from its
         producer inside a `drawing_ahead` block the caller opened.
         """
         start = len(self.rows)
-        self.steps_classifier = self.steps_classifier or mode in LOGIT_MODES
         for _ in range(n_epochs):
             lr = lr_schedule(self.epoch, self.opt_cfg)
             beta1 = beta1_schedule(self.epoch, self.opt_cfg)
@@ -278,12 +281,11 @@ class TrainingRun:
                 x = self.features[idx]
                 emb, cache = forward_with_cache(self.params, x)
                 logits = (classify(self.params, cache.z_soft)
-                          if mode in LOGIT_MODES else None)
+                          if self.mode in LOGIT_MODES else None)
                 breakdown, d_emb, d_logits = batch_loss_and_grads(
-                    mode, emb, logits, self.class_ids_for(idx), w, self.layout)
+                    self.mode, emb, logits, self.class_ids_for(idx), w, self.layout)
                 backward(self.params, cache, d_emb, d_logits, out=self.grads)
-                adam_step(self.params, self.grads, self.adam, lr, beta1,
-                          self.opt_cfg, classifier=self.steps_classifier)
+                adam_step(self.params, self.grads, self.adam, lr, beta1, self.opt_cfg)
                 acc += (breakdown.softmax_term, breakdown.gbh_term, breakdown.total)
             acc /= self.sampler.batches_per_epoch
             self.rows.append(EpochStats(phase=phase, candidate=candidate, w=w, lr=lr,
@@ -297,7 +299,6 @@ class TrainingRun:
     def restore(self, ckpt: Checkpoint):
         self.params = ckpt.params.copy()
         self.adam = ckpt.adam.copy()
-        self.steps_classifier = True  # the checkpoint's moments may be nonzero
 
 
 def explore(run: TrainingRun, w: HyperParams, cfg: PlaConfig, candidate):
@@ -306,8 +307,8 @@ def explore(run: TrainingRun, w: HyperParams, cfg: PlaConfig, candidate):
     Scores |relative drop of the mean loss between the two halves - ED|.
     """
     ckpt = run.snapshot()
-    stats = run.train_epochs("composite_fixed", w, cfg.explore_epochs,
-                             phase="explore", candidate=candidate)
+    stats = run.train_epochs(w, cfg.explore_epochs, phase="explore",
+                             candidate=candidate)
     totals = [s.mean_total for s in stats]
     half = cfg.objective_split
     first = float(np.mean(totals[:half]))
@@ -326,13 +327,11 @@ def run_fixed(features, labels, mode, w: HyperParams, n_epochs,
               model_cfg: ModelConfig, opt_cfg: OptimizerConfig,
               batch_spec: BatchSpec, seed):
     """Train one fixed-hyperparameter mode for n_epochs."""
-    if mode not in TRAIN_MODES or mode == "pla":
-        raise ValueError(f"run_fixed cannot run mode {mode!r}")
+    run = TrainingRun(features, labels, mode, model_cfg, opt_cfg, batch_spec, seed)
     if mode == "ce_only":
         w = HyperParams(lam=0.0, margin=w.margin, k=w.k, p=w.p)
-    run = TrainingRun(features, labels, model_cfg, opt_cfg, batch_spec, seed)
     with run.sampler.drawing_ahead(n_epochs * run.sampler.batches_per_epoch):
-        stats = run.train_epochs(mode, w, n_epochs, phase="train", candidate=0)
+        stats = run.train_epochs(w, n_epochs, phase="train", candidate=0)
     report = RunReport(rows=run.rows, best_loss=min(
         (s.mean_total for s in stats), default=float("inf")))
     return RunResult(best_params=run.params.copy(), final_params=run.params,
@@ -348,7 +347,7 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
     lowest exploitation-phase mean loss}.  A round starts only if its exploit
     can start under budget after its explores; no phase is cut.
     """
-    run = TrainingRun(features, labels, model_cfg, opt_cfg,
+    run = TrainingRun(features, labels, "composite_fixed", model_cfg, opt_cfg,
                       pla_cfg.batch_spec, seed)
     bo_rng = np.random.default_rng(np.random.default_rng(seed).integers(2**63) ^ 0x5EED)
     report = RunReport(rows=run.rows)
@@ -371,8 +370,8 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
             candidates.append(w_new)
             objectives.append(None)
             report.chosen.append(w_new)
-            stats = run.train_epochs("composite_fixed", w_new, pla_cfg.exploit_epochs,
-                                     phase="exploit", candidate=len(candidates) - 1)
+            stats = run.train_epochs(w_new, pla_cfg.exploit_epochs, phase="exploit",
+                                     candidate=len(candidates) - 1)
             phase_mean = float(np.mean([s.mean_total for s in stats]))
             if phase_mean < best_loss:
                 best_loss = phase_mean

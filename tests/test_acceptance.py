@@ -256,20 +256,17 @@ def test_criterion_6_restoration_and_reproducibility():
                     objective_split=1, exploit_epochs=3, batch_spec=batch,
                     pool_size=16)
 
-    run = TrainingRun(ds.features, ds.labels, model_cfg, OptimizerConfig(),
-                      batch, seed=0)
-    run.train_epochs("composite_fixed", HyperParams(1.0, 0.2, 1, 1), 2,
-                     phase="exploit", candidate=0)
+    run = TrainingRun(ds.features, ds.labels, "composite_fixed", model_cfg,
+                      OptimizerConfig(), batch, seed=0)
+    run.train_epochs(HyperParams(1.0, 0.2, 1, 1), 2, phase="exploit", candidate=0)
     before = run.snapshot()
     explore(run, HyperParams(0.7, 0.1, 2, 3), pla, candidate=0)
     restored = (
         all(np.array_equal(a, b) for a, b in
             zip(run.params.arrays(), before.params.arrays()))
         and run.adam.step == before.adam.step
-        and all(np.array_equal(a, b) for a, b in
-                zip(run.adam.m.arrays(), before.adam.m.arrays()))
-        and all(np.array_equal(a, b) for a, b in
-                zip(run.adam.v.arrays(), before.adam.v.arrays())))
+        and np.array_equal(run.adam.m, before.adam.m)
+        and np.array_equal(run.adam.v, before.adam.v))
 
     a = run_pla(ds.features, ds.labels, pla, model_cfg, OptimizerConfig(), seed=1)
     b = run_pla(ds.features, ds.labels, pla, model_cfg, OptimizerConfig(), seed=1)

@@ -212,6 +212,44 @@ def test_train_config_epochs_string_exits_1(tmp_path, capsys):
     assert "epochs: expected null or an integer >= 1" in capsys.readouterr().err
 
 
+BAD_CONFIGS = [
+    ({"seed": "a"}, "error: seed: expected int, got 'a'"),
+    ({"seed": True}, "error: seed: expected int, got True"),
+    ({"out_dir": 5}, "error: out_dir: expected str, got 5"),
+    ({"batch": {"P": 2.5, "K": 2}}, "error: batch.P: expected int, got 2.5"),
+    ({"split": {"query_per_identity": "2"}},
+     "error: split.query_per_identity: expected int, got '2'"),
+    ({"split": {"open_set": 1}}, "error: split.open_set: expected bool, got 1"),
+    ({"optimizer": {"alpha0": "1e-3"}}, "error: optimizer.alpha0: expected float"),
+    ({"pla": {"re_explore_policy": 1}}, "error: pla.re_explore_policy: expected str"),
+    ({"fixed_w": {"lam": 1.0, "margin": 0.2, "k": True, "p": 1}},
+     "error: fixed_w.k: expected int, got True"),
+    ({"data": {"n_identities": 8, "samples_per_identity": 6, "dim": 6.0}},
+     "error: data.dim: expected int, got 6.0"),
+    ({"model": {"hidden": 0}}, "error: model: hidden must be >= 1, got 0"),
+    ({"model": {"embed_dim": 0}}, "error: model: embed_dim must be >= 1, got 0"),
+    ({"split": {"open_set": True, "test_fraction": 1.0}},
+     "error: split: test_fraction must lie in (0, 1), got 1.0"),
+    ({"split": {"open_set": True, "test_fraction": 0}},
+     "error: split: test_fraction must lie in (0, 1), got 0"),
+]
+
+
+@pytest.mark.parametrize("over, message", BAD_CONFIGS,
+                         ids=[message.split(": ")[1] for _, message in BAD_CONFIGS])
+def test_bad_config_value_exits_1_naming_its_key(tmp_path, capsys, over, message):
+    ds = gen_dataset(tmp_path, write_config(tmp_path))
+    cfg = write_config(tmp_path, **over)
+    capsys.readouterr()
+    for argv in (["gen-data", "--config", str(cfg), "--dataset", str(tmp_path / "new.csv")],
+                 ["train", "--config", str(cfg), "--dataset", str(ds),
+                  "--mode", "ce_only"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "new.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_pla_budget_without_an_exploit_exits_1(tmp_path, capsys):
     ds = gen_dataset(tmp_path, write_config(tmp_path))
     pla = {"max_epochs": 4, "initial_design": 2, "explore_epochs": 2,

@@ -116,6 +116,15 @@ def test_split_open_set_disjoint_identities():
     assert not train_ids & test_ids
 
 
+@pytest.mark.parametrize("n_ids, fraction", [(16, 1.0), (16, 0.97), (2, 0.5)])
+def test_open_set_split_must_leave_a_training_identity(n_ids, fraction):
+    # round(0.97 * 16) is 16; at least two identities are held out, so two
+    # identities leave none
+    ds = generate(clean_spec(n_identities=n_ids))
+    with pytest.raises(InvalidInputError, match="open-set split.*leaving none to train"):
+        split(ds, 2, np.random.default_rng(1), open_set=True, test_fraction=fraction)
+
+
 def test_split_infeasible_query_count():
     ds = generate(clean_spec(samples_per_identity=4))
     with pytest.raises(InvalidInputError):

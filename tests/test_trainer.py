@@ -45,9 +45,9 @@ def small_pla(**over):
     return PlaConfig(**base)
 
 
-def make_run(seed=0):
+def make_run(seed=0, mode="composite_fixed"):
     x, y = small_data()
-    return TrainingRun(x, y, MODEL, OptimizerConfig(), BATCH, seed)
+    return TrainingRun(x, y, mode, MODEL, OptimizerConfig(), BATCH, seed)
 
 
 def params_equal(a, b):
@@ -55,16 +55,14 @@ def params_equal(a, b):
 
 
 def adam_equal(a, b):
-    return (a.step == b.step
-            and all(np.array_equal(x, y) for x, y in zip(a.m.arrays(), b.m.arrays()))
-            and all(np.array_equal(x, y) for x, y in zip(a.v.arrays(), b.v.arrays())))
+    return a.step == b.step and np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
 
 
 # -------------------------------------------------------------- restoration
 
 def test_explore_restores_bit_exactly():
     run = make_run()
-    run.train_epochs("composite_fixed", W, 2, phase="exploit", candidate=0)
+    run.train_epochs(W, 2, phase="exploit", candidate=0)
     before = run.snapshot()
     rec = explore(run, HyperParams(0.5, 0.1, 2, 3), small_pla(), candidate=1)
     assert params_equal(run.params, before.params)
@@ -78,7 +76,8 @@ def test_explore_on_frozen_model_scores_near_expected_drop():
     # learning rate small enough to underflow every update: weights frozen,
     # the loss drop is pure batch noise and the objective sits near ED
     x, y = small_data()
-    run = TrainingRun(x, y, MODEL, OptimizerConfig(alpha0=5e-324), BATCH, 3)
+    run = TrainingRun(x, y, "composite_fixed", MODEL, OptimizerConfig(alpha0=5e-324),
+                      BATCH, 3)
     before = run.snapshot()
     rec = explore(run, W, small_pla(explore_epochs=4, objective_split=2), 0)
     assert params_equal(run.params, before.params)
@@ -89,8 +88,8 @@ def test_explore_on_frozen_model_scores_near_expected_drop():
 
 def test_train_epochs_bit_reproducible():
     r1, r2 = make_run(5), make_run(5)
-    s1 = r1.train_epochs("composite_fixed", W, 4, phase="exploit", candidate=0)
-    s2 = r2.train_epochs("composite_fixed", W, 4, phase="exploit", candidate=0)
+    s1 = r1.train_epochs(W, 4, phase="exploit", candidate=0)
+    s2 = r2.train_epochs(W, 4, phase="exploit", candidate=0)
     assert [s.mean_total for s in s1] == [s.mean_total for s in s2]
     assert params_equal(r1.params, r2.params)
 
@@ -209,7 +208,7 @@ def test_modes_without_logits_leave_the_classifier_at_its_init(mode):
     # Adam, its moments starting at 0, moves the classifier by exactly 0;
     # the identities overlap, so the triplet terms train the rest
     x, y = small_data(center_scale=2.0)
-    init = TrainingRun(x, y, MODEL, OptimizerConfig(), BATCH, seed=4).params
+    init = TrainingRun(x, y, mode, MODEL, OptimizerConfig(), BATCH, seed=4).params
     w = HyperParams(lam=1.0, margin=0.2, k=2, p=3)
     res = run_fixed(x, y, mode, w, 5, MODEL, OptimizerConfig(), BATCH, seed=4)
     for name in ("w_cls", "b_cls"):
@@ -218,47 +217,31 @@ def test_modes_without_logits_leave_the_classifier_at_its_init(mode):
     assert [r.mean_ce for r in res.report.rows] == [0.0] * 5
 
 
-MODE_SEQUENCES = [("batch_hard",), ("triplet_only",), ("composite_fixed", "batch_hard"),
-                  ("batch_hard", "ce_only", "triplet_only")]
-
-
-@pytest.mark.parametrize("modes", MODE_SEQUENCES, ids="+".join)
-def test_classifier_left_out_of_adam_changes_no_byte(monkeypatch, modes):
-    # Adam leaves the classifier out until the run's first logit-mode step;
-    # every byte of the run equals that of a run whose steps are all whole
+@pytest.mark.parametrize("mode", ["batch_hard", "triplet_only", "composite_fixed",
+                                  "ce_only"])
+def test_classifier_left_out_of_adam_changes_no_byte(mode):
+    # Adam has moments for the classifier only in the logit modes; every byte
+    # of the run equals that of the same run given whole-vector moments
     x, y = small_data(center_scale=2.0)
     w = HyperParams(lam=1.0, margin=0.2, k=2, p=3)
 
-    def train():
-        run = TrainingRun(x, y, MODEL, OptimizerConfig(), BATCH, seed=6)
-        for mode in modes:
-            run.train_epochs(mode, w, 3, phase="train", candidate=0)
+    def train(whole):
+        run = TrainingRun(x, y, mode, MODEL, OptimizerConfig(), BATCH, seed=6)
+        if whole:
+            run.adam = trainer.AdamState.zeros(run.params.flat.size)
+        run.train_epochs(w, 3, phase="train", candidate=0)
         return run
 
-    got = train()
-    whole_step = trainer.adam_step
-    monkeypatch.setattr(trainer, "adam_step",
-                        lambda *args, classifier: whole_step(*args))
-    want = train()
-    for a, b in ((got.params, want.params), (got.adam.m, want.adam.m),
-                 (got.adam.v, want.adam.v)):
-        assert a.flat.tobytes() == b.flat.tobytes()
-    assert got.adam.step == want.adam.step == 3 * len(modes) * 6
+    got, want = train(False), train(True)
+    n = got.adam.m.size
+    n_cls = got.params.w_cls.size + got.params.b_cls.size
+    assert n == got.params.flat.size - (0 if mode in trainer.LOGIT_MODES else n_cls)
+    assert got.params.flat.tobytes() == want.params.flat.tobytes()
+    for a, b in ((got.adam.m, want.adam.m), (got.adam.v, want.adam.v)):
+        assert a.tobytes() == b[:n].tobytes()
+        assert b[n:].tobytes() == bytes(8 * (b.size - n))  # +0.0 throughout
+    assert got.adam.step == want.adam.step == 3 * 6
     assert got.rows == want.rows
-    assert got.steps_classifier == any(m in trainer.LOGIT_MODES for m in modes)
-
-
-def test_restored_run_steps_the_classifier():
-    # a checkpoint may carry classifier moments that a whole step would move
-    donor = make_run(8)
-    donor.train_epochs("composite_fixed", W, 2, phase="train", candidate=0)
-    assert donor.adam.m.w_cls.any()
-    run = make_run(9)
-    run.restore(donor.snapshot())
-    ckpt = run.snapshot()
-    run.train_epochs("batch_hard", W, 2, phase="train", candidate=0)
-    assert not np.array_equal(run.params.w_cls, ckpt.params.w_cls)
-    assert not np.array_equal(run.adam.v.b_cls, ckpt.adam.v.b_cls)
 
 
 def test_run_fixed_rejects_pla_and_unknown_modes():
@@ -267,8 +250,12 @@ def test_run_fixed_rejects_pla_and_unknown_modes():
         run_fixed(x, y, "pla", W, 2, MODEL, OptimizerConfig(), BATCH, seed=0)
     with pytest.raises(ValueError):
         run_fixed(x, y, "banana", W, 2, MODEL, OptimizerConfig(), BATCH, seed=0)
-    with pytest.raises(ValueError):
-        make_run().train_epochs("composite", W, 1, phase="train", candidate=0)
+
+
+@pytest.mark.parametrize("mode", ["pla", "composite", "banana"])
+def test_training_run_rejects_pla_and_unknown_modes(mode):
+    with pytest.raises(ValueError, match=f"cannot train mode '{mode}'"):
+        make_run(mode=mode)
 
 
 def test_pla_is_not_a_loss_mode():
@@ -283,7 +270,8 @@ def test_class_ids_for_matches_per_batch_searchsorted():
     perm = rng.permutation(len(y))
     ids = rng.permutation([907, 12, 55, 3, 4100, 61, 29, 800])
     labels = ids[y][perm]  # shuffled, non-contiguous identity ids
-    run = TrainingRun(x[perm], labels, MODEL, OptimizerConfig(), BATCH, seed=0)
+    run = TrainingRun(x[perm], labels, "composite_fixed", MODEL, OptimizerConfig(),
+                      BATCH, seed=0)
     classes = np.unique(labels)
     for _ in range(500):
         idx = run.sampler.sample()
@@ -305,7 +293,8 @@ def test_every_batch_has_the_run_layout(counts):
     labels = rng.permutation(np.repeat(np.arange(len(counts)) * 13 + 5, counts))
     x = rng.normal(size=(len(labels), MODEL.d_in))
     spec = BatchSpec(4, 4)
-    run = TrainingRun(x, labels, MODEL, OptimizerConfig(), spec, seed=3)
+    run = TrainingRun(x, labels, "composite_fixed", MODEL, OptimizerConfig(), spec,
+                      seed=3)
     repeats = 0
     for _ in range(300):
         idx = run.sampler.sample()
@@ -331,13 +320,13 @@ def test_batch_loss_and_grads_same_with_prebuilt_layout(mode):
 
 def test_epoch_is_the_length_of_the_run_history():
     run = make_run()
-    run.train_epochs("composite_fixed", W, 2, phase="exploit", candidate=0)
+    run.train_epochs(W, 2, phase="exploit", candidate=0)
     explore(run, W, small_pla(), candidate=1)
-    run.train_epochs("batch_hard", W, 1, phase="train", candidate=2)
+    run.train_epochs(W, 1, phase="exploit", candidate=2)
     explore(run, HyperParams(0.5, 0.1, 2, 3), small_pla(), candidate=3)
     assert run.epoch == len(run.rows) == 7
     assert [r.phase for r in run.rows] == (["exploit"] * 2 + ["explore"] * 2
-                                           + ["train"] + ["explore"] * 2)
+                                           + ["exploit"] + ["explore"] * 2)
 
 
 # ---------------------------------------------------------------- pla loop
@@ -425,7 +414,7 @@ def test_pla_config_validation():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     run = make_run(9)
-    run.train_epochs("composite_fixed", W, 3, phase="exploit", candidate=0)
+    run.train_epochs(W, 3, phase="exploit", candidate=0)
     path = tmp_path / "model.bin"
     save_model(path, run.params)
     back = load_model(path)
@@ -444,7 +433,7 @@ def hand_model_bytes(cfg, arrays):
 
 def test_checkpoint_bytes_match_hand_built_layout(tmp_path):
     run = make_run(12)
-    run.train_epochs("composite_fixed", W, 2, phase="exploit", candidate=0)
+    run.train_epochs(W, 2, phase="exploit", candidate=0)
     path = tmp_path / "model.bin"
     save_model(path, run.params)
     arrays = {name: getattr(run.params, name) for name in PARAM_FIELDS}
