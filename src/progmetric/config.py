@@ -27,6 +27,9 @@ class SplitConfig:
     test_fraction: float = 0.5
 
     def __post_init__(self):
+        if self.query_per_identity < 1:
+            raise ValueError(
+                f"query_per_identity must be >= 1, got {self.query_per_identity!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction!r}")
 

@@ -33,27 +33,42 @@ class RetrievalMetrics:
 # size, so evaluation memory grows with the gallery, not with the number of
 # queries.
 BLOCK_BYTES = 8 << 20
-# Distances compared at once when counting ties at lower columns: 512 KiB
-# of float64, well under a block.
+# Squared distances scanned at once for flagged pairs: 512 KiB, under a block.
 TIE_ENTRIES = 1 << 16
 
 
-def _cross_distances(a, b, b_sq=None, out=None, work=None):
-    """Euclidean distances between the rows of a and b; b_sq, when given, is
-    (b * b).sum(1), computed once for a gallery that many blocks share.
-
-    out and work, when given, are (len(a), len(b)) float64 arrays: the
-    distances are written into out and the product 2a b^T into work, the
-    same float operations as without them.
-    """
+def _squared_distances(a, b, b_sq=None, out=None, work=None):
+    """|a|^2 + |b|^2 - 2a b^T, the squared distances between the rows of a
+    and b (some may round below 0); b_sq is (b * b).sum(1), which blocks
+    share.  out and work are (len(a), len(b)) float64 arrays that take the
+    result and 2a b^T: the same float operations as without them."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if b_sq is None:
         b_sq = (b * b).sum(1)
     d2 = np.add((a * a).sum(1)[:, None], b_sq[None, :], out=out)
     d2 -= np.matmul(2.0 * a, b.T, out=work)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2, out=d2)
+    return d2
+
+
+def _root(d2):
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def _cross_distances(a, b):
+    """Euclidean distances between the rows of a and b."""
+    return _root(_squared_distances(a, b))
+
+
+def _reach(v):
+    """The least float64 x with _root(x) >= v, for each v >= 0; -inf at 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.where(v > 0, v * v, -np.inf)  # within an ulp or two of it
+    while (up := _root(x) < v).any():
+        x[up] = np.nextafter(x[up], np.inf)
+    while (down := (v > 0) & (_root(np.nextafter(x, -np.inf)) >= v)).any():
+        x[down] = np.nextafter(x[down], -np.inf)
+    return x
 
 
 def _query_blocks(n_query, n_gallery, workers=1):
@@ -80,38 +95,49 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _stable_ranks(dist, ranked, rows, cols):
-    """0-based rank of dist[rows, cols] in its row, ties broken by column.
+def _stable_ranks(d2, keys, key, rows, cols):
+    """0-based rank of the distance _root(d2[rows, cols]) in its row, ties
+    broken by column, from d2 rounded to float32: each row's keys, sorted,
+    and each pair's key.
 
-    That is its position in a stable argsort of the row.  In a row whose
-    entries are all equal that order is the identity, so the rank is the
-    column.  Elsewhere it is the count of entries below it, found by one
-    binary search over the value-sorted rows for all pairs at once, plus the
-    count of equal entries at lower columns.  Only pairs where the next
-    sorted entry equals the relevant distance need the second count; it is
-    taken over their rows' distances, TIE_ENTRIES of them at a time.
+    Both roundings are monotone, and positive d2 with equal roots lie within
+    4 float64 ulps, so their keys are equal or one float32 step apart.  A
+    pair with a positive key that no other key in its row equals or sits a
+    step from thus ranks by the count of keys below it, one binary search
+    for all pairs at once.  The rest are flagged: on a row whose d2 are all
+    equal, the rank is the column; elsewhere it counts the row's d2 below
+    the least x where _root(x) reaches the pair's distance v, from its
+    column on, or reaches nextafter(v), before it, TIE_ENTRIES at a time.
     """
-    rank = cols.copy()
-    varied = (ranked[:, :1] != ranked[:, -1:]).any(axis=1)  # slices: G may be 0
-    search = np.flatnonzero(varied[rows])
-    rows, cols = rows[search], cols[search]
-    value = dist[rows, cols]
-    n = ranked.shape[1]
+    n = size = keys.shape[1]
     found = np.zeros(len(rows), dtype=np.intp)
-    step = 1 << n.bit_length()
-    while step := step >> 1:  # one halving step per pass
-        cand = found + step
-        found += step * ((cand <= n) & (ranked[rows, np.minimum(cand, n) - 1] < value))
-    after = np.minimum(found + 1, n - 1)
-    tied = np.flatnonzero((after > found) & (ranked[rows, after] == value))
-    chunk = max(1, TIE_ENTRIES // max(n, 1))
-    for i in range(0, len(tied), chunk):
-        t = tied[i:i + chunk]
-        equal = dist[rows[t]] == value[t, None]
-        equal &= np.arange(n) < cols[t, None]
-        found[t] += np.count_nonzero(equal, axis=1)
-    rank[search] = found
-    return rank
+    while size > 1:  # found + size <= n; the count lies in [found, found + size]
+        half = size // 2
+        found += half * (keys[rows, found + half] < key)
+        size -= half
+    found += keys[rows, found] < key
+    lower = keys[rows, np.maximum(found - 1, 0)] >= np.nextafter(key, -np.inf)
+    upper = keys[rows, np.minimum(found + 1, n - 1)] <= np.nextafter(key, np.inf)
+    flagged = np.flatnonzero((key <= 0) | (found > 0) & lower | (found + 1 < n) & upper)
+    if flagged.size and (keys[:, 0] == keys[:, -1]).any():
+        same = (d2.min(axis=1) == d2.max(axis=1))[rows[flagged]]
+        found[flagged[same]] = cols[flagged[same]]
+        flagged = flagged[~same]
+    if not flagged.size:
+        return found
+    v = _root(d2[rows[flagged], cols[flagged]])
+    below, tied = _reach(v), _reach(np.nextafter(v, np.inf))
+    chunk = TIE_ENTRIES // n
+    # row n - c of before is True at the columns before c
+    before = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) < n, n)
+    for i in range(0, len(flagged), chunk):
+        t, p = slice(i, i + chunk), flagged[i:i + chunk]
+        x = d2[rows[p]]
+        count = x < tied[t, None]  # in place: more temporaries doubled the time
+        count &= before[n - cols[p]]
+        count |= x < below[t, None]
+        found[p] = count.view(np.uint8).sum(axis=1, dtype=np.int32)
+    return found
 
 
 def _rank_block(q, q_labels, lo, hi, g, g_sq, g_labels, order, free):
@@ -120,36 +146,40 @@ def _rank_block(q, q_labels, lo, hi, g, g_sq, g_labels, order, free):
     A query's candidate gallery columns are order[lo:hi], in ascending column
     order; those whose label equals the query's under ``==`` are relevant.
     The block borrows a pair of (rows, gallery) float64 arrays, at least as
-    high as the block, from the list `free` and gives it back when done; the
-    distances, the sorted rows and the AP precision rows are written into
-    them.  Returns, for the block's queries that have a match, in query
-    order, the rank of each one's first hit and its AP: arrays of at most
-    one entry a query, so finished blocks hold no gallery-sized array.
+    high as the block, from the list `free` and gives it back when done: one
+    takes the squared distances, the other 2q g^T, then the float32 keys in
+    its first half, then the AP precision rows.  Returns, for the block's
+    queries that have a match, in query order, the rank of each one's first
+    hit and its AP, so finished blocks hold no gallery-sized array.
     """
     n_gallery = len(g)
     pair = free.pop()  # list.pop and list.append are atomic across threads
     try:
-        dist, ranked = (buf[:len(q)] for buf in pair)
-        _cross_distances(q, g, g_sq, out=dist, work=ranked)
-        ranked[...] = dist
-        ranked.sort(axis=1)  # what np.sort(dist, axis=1) does to its copy
-        if not np.isfinite(ranked[:, -1:]).all():
-            raise InvalidInputError("query/gallery distances overflow float64")
+        d2, work = (buf[:len(q)] for buf in pair)
+        _squared_distances(q, g, g_sq, out=d2, work=work)
+        keys = work.reshape(-1).view(np.float32)[:d2.size].reshape(d2.shape)
+        with np.errstate(over="ignore", under="ignore"):  # to inf or 0 past float32
+            keys[...] = d2
         n_cand = hi - lo
         rows = np.repeat(np.arange(len(q)), n_cand)
         cols = order[np.arange(len(rows))
                      + np.repeat(lo - (np.cumsum(n_cand) - n_cand), n_cand)]
         hit = q_labels[rows] == g_labels[cols]
         rows, cols = rows[hit], cols[hit]
+        key = keys[rows, cols]
+        keys.sort(axis=1)
+        # a NaN or inf d2 sorts its key last, as a large finite d2 may
+        if not np.isfinite(keys[:, -1:]).all() and not (d2 < np.inf).all():
+            raise InvalidInputError("query/gallery distances overflow float64")
         # hits in (query, rank) order; i counts a query's hits from 1
         rows, rank = np.divmod(
-            np.sort(rows * n_gallery + _stable_ranks(dist, ranked, rows, cols)),
+            np.sort(rows * n_gallery + _stable_ranks(d2, keys, key, rows, cols)),
             n_gallery)
         n_rel = np.bincount(rows, minlength=len(q))
         first = np.cumsum(n_rel) - n_rel
         i = np.arange(1, len(rows) + 1) - first[rows]
         valid = n_rel > 0
-        precision = ranked  # the sorted rows are no longer read
+        precision = work  # the keys are no longer read
         precision.fill(0.0)
         precision[rows, rank] = i / (rank + 1)
         return rank[first[valid]], precision.sum(axis=1)[valid] / n_rel[valid]
@@ -171,15 +201,15 @@ def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
     gallery index.  Queries with no relevant gallery item are excluded and
     tallied.
 
-    Queries are ranked in blocks (see BLOCK_BYTES), each from a value-only
-    sort of its distance rows.  The gallery's squared norms and a label
-    index (a stable argsort of the gallery labels, and each query's range in
-    it) are built once per call.  With more than one block, min(blocks,
-    usable CPUs) threads rank the blocks, each under a copy of the caller's
-    context, so the caller's ``np.errstate`` holds in them.  Results are
-    combined in block order, so the metrics are bit-identical for any number
-    of threads.  The first failing block's error is raised, after blocks not
-    yet started are cancelled and every thread has finished.
+    Queries are ranked in blocks (see BLOCK_BYTES) on float32 keys of their
+    squared distances (see _stable_ranks).  The gallery's squared norms and
+    a label index (a stable argsort of the gallery labels, and each query's
+    range in it) are built once per call.  With more than one block,
+    min(blocks, usable CPUs) threads rank the blocks, each under a copy of
+    the caller's context, so the caller's ``np.errstate`` holds in them.
+    Results are combined in block order, so the metrics are bit-identical
+    for any number of threads.  The first failing block's error is raised,
+    after blocks not yet started are cancelled and every thread has finished.
     """
     q = np.asarray(split.query_embeddings, dtype=float)
     g = np.asarray(split.gallery_embeddings, dtype=float)

@@ -260,6 +260,9 @@ class OptimizerConfig:
             raise InvalidInputError("alpha0 must be positive and finite")
         if not 0.0 < self.epsilon < math.inf:
             raise InvalidInputError("epsilon must be positive and finite")
+        for name in ("e0", "beta1_switch_epoch"):
+            if getattr(self, name) < 0:
+                raise InvalidInputError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.e0 >= self.e1:
             raise InvalidInputError("e0 must be smaller than e1")
         for b in (self.beta1_early, self.beta1_late, self.beta2):

@@ -9,6 +9,7 @@ pairs (hard negatives), wide-draw samples at four times the spread
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,13 @@ class SynthSpec:
                      self.overhard_fraction):
             if not 0.0 <= frac <= 1.0:
                 raise InvalidInputError("fractions must lie in [0, 1]")
+        # centres are drawn from [-center_scale, center_scale), a finite width
+        if not 0.0 <= self.center_scale <= sys.float_info.max / 2:
+            raise InvalidInputError("center_scale must be >= 0 and at most half the "
+                                    f"largest float, got {self.center_scale!r}")
+        if not 0.0 <= self.intra_spread <= sys.float_info.max:
+            raise InvalidInputError(
+                f"intra_spread must be finite and >= 0, got {self.intra_spread!r}")
 
 
 @dataclass

@@ -76,6 +76,8 @@ class PlaConfig:
                   self.objective_split, self.pool_size):
             if n < 1:
                 raise ValueError("all counts must be >= 1")
+        if not 0.0 <= self.expected_drop < 1.0:
+            raise ValueError(f"expected_drop must lie in [0, 1), got {self.expected_drop!r}")
         if self.re_explore_policy not in ("all", "stale"):
             raise ValueError("re_explore_policy must be 'all' or 'stale'")
         if self.max_epochs <= self.initial_design * self.explore_epochs:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import signal
 import struct
@@ -15,17 +16,21 @@ from progmetric.model import ModelConfig, NonFiniteGradientError
 from progmetric.trainer import MODEL_MAGIC, load_model, save_model
 
 
+DATA = {"n_identities": 8, "samples_per_identity": 6, "dim": 6,
+        "center_scale": 50.0, "intra_spread": 1.0}
+PLA = {"max_epochs": 10, "initial_design": 2, "explore_epochs": 2,
+       "objective_split": 1, "exploit_epochs": 3, "pool_size": 16}
+
+
 def write_config(tmp_path, **over):
     cfg = {
         "seed": 0,
         "out_dir": str(tmp_path / "out"),
-        "data": {"n_identities": 8, "samples_per_identity": 6, "dim": 6,
-                 "center_scale": 50.0, "intra_spread": 1.0},
+        "data": DATA,
         "split": {"query_per_identity": 2},
         "batch": {"P": 4, "K": 2},
         "model": {"hidden": 8, "embed_dim": 8},
-        "pla": {"max_epochs": 10, "initial_design": 2, "explore_epochs": 2,
-                "objective_split": 1, "exploit_epochs": 3, "pool_size": 16},
+        "pla": PLA,
         "epochs": 15,
     }
     cfg.update(over)
@@ -232,6 +237,22 @@ BAD_CONFIGS = [
      "error: split: test_fraction must lie in (0, 1), got 1.0"),
     ({"split": {"open_set": True, "test_fraction": 0}},
      "error: split: test_fraction must lie in (0, 1), got 0"),
+    ({"data": {**DATA, "center_scale": math.inf}}, "error: data: center_scale must be >= 0 "
+     "and at most half the largest float, got inf"),
+    ({"data": {**DATA, "center_scale": 1e308}}, "error: data: center_scale must be"),
+    ({"data": {**DATA, "center_scale": -1}}, "error: data: center_scale must be"),
+    ({"data": {**DATA, "intra_spread": math.nan}},
+     "error: data: intra_spread must be finite and >= 0, got nan"),
+    ({"data": {**DATA, "intra_spread": -1.0}}, "error: data: intra_spread must be"),
+    ({"split": {"query_per_identity": 0}},
+     "error: split: query_per_identity must be >= 1, got 0"),
+    ({"split": {"query_per_identity": -1}}, "error: split: query_per_identity must be"),
+    ({"pla": {**PLA, "expected_drop": math.nan}},
+     "error: pla: expected_drop must lie in [0, 1), got nan"),
+    ({"pla": {**PLA, "expected_drop": -5}}, "error: pla: expected_drop must lie in"),
+    ({"optimizer": {"e0": -1}}, "error: optimizer: e0 must be >= 0, got -1"),
+    ({"optimizer": {"beta1_switch_epoch": -1}},
+     "error: optimizer: beta1_switch_epoch must be >= 0, got -1"),
 ]
 
 

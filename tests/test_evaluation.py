@@ -317,6 +317,82 @@ def test_worker_count_keeps_metrics_bit_identical(small_blocks, workers):
     assert_same_metrics(got, loop_evaluate(split))
 
 
+def shell_split(rng):
+    # Gallery rows [a, b] at squared distance a^2 + b^2 = t + k float64 ulps
+    # from queries at the origin, t halfway between two float32 values (a * a
+    # is exact).  At these a, k = 0 and 1 share a root but their float32
+    # keys are one step apart, on either side of t; at 1.5 and 3, k = -5..5
+    # share a key, and neighbours share a root.
+    g = []
+    for a, ks in [(a, (0, 1)) for a in (0.875, 1.0625, 1.75, 2.1875, 2.375,
+                                        2.8125, 3.125, 3.5)] + [(1.5, range(-5, 6)),
+                                                               (3.0, range(-5, 6))]:
+        half = float(np.spacing(np.float32(a * a))) / 2
+        g += [[a, math.sqrt(half + k * float(np.spacing(a * a + half)))] for k in ks]
+    q = np.vstack([np.zeros((6, 2)), rng.normal(size=(4, 2))])
+    return labelled_split(rng, q, np.array(g)[rng.permutation(len(g))], 3)
+
+
+def near_split(rng, scale, offset):
+    # queries at `scale`; gallery rows that copy some of them exactly or
+    # `offset` away, and others at `scale`
+    q = rng.normal(size=(12, 3)) * scale
+    g = np.vstack([q[rng.integers(0, 12, 24)] + rng.normal(size=(24, 3)) * offset,
+                   q[rng.integers(0, 12, 12)], rng.normal(size=(10, 3)) * scale])
+    return labelled_split(rng, q, g[rng.permutation(len(g))], 3)
+
+
+F32 = np.finfo(np.float32)
+ADVERSARIAL = {  # a split, and what its squared distances d2 must show
+    "shells": (shell_split, None),
+    "huge": (lambda rng: near_split(rng, 1e20, 1e20),  # d2 past float32's max
+             lambda d2: (d2 > F32.max).any()),
+    "tiny": (lambda rng: near_split(rng, 1e-22, 1e-25),  # keys 0 or subnormal
+             lambda d2: ((d2 > 0) & (d2 < F32.tiny)).any()),
+    "duplicates": (lambda rng: near_split(rng, 1e3 / math.sqrt(3), 1e-9),
+                   lambda d2: (d2 < 0).any()),  # rounded below 0
+    "grid": (lambda rng: labelled_split(rng, np.round(rng.normal(size=(12, 2))),
+                                        np.round(rng.normal(size=(40, 2))), 3),
+             None),
+}
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(ADVERSARIAL))
+def test_key_ranking_matches_loop_reference_on_adversarial_splits(kind, n_workers,
+                                                                  monkeypatch):
+    # Blocks rank on float32 keys of the squared distances and settle near
+    # ties exactly; these splits put keys on every edge of that: roots that
+    # collide while squared distances differ (shells, whose keys are equal
+    # or one float32 step apart), keys past float32's range, keys that
+    # underflow, and squared distances rounded below 0.
+    make, shows = ADVERSARIAL[kind]
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: n_workers)
+    for seed in range(4):
+        split = make(np.random.default_rng(seed))
+        d2 = evaluation._squared_distances(split.query_embeddings,
+                                           split.gallery_embeddings)
+        assert np.isfinite(d2).all() and (shows is None or shows(d2))
+        if not has_match(split):
+            continue
+        monkeypatch.setattr(evaluation, "BLOCK_BYTES", 8 * d2.shape[1] * 3)
+        with np.errstate(over="raise"):  # keys past float32 are no overflow
+            got = evaluate(split)
+        assert_same_metrics(got, loop_evaluate(split))
+
+
+def test_shells_put_equal_roots_on_adjacent_keys():
+    # what makes shell_split adversarial: in a query's row at the origin,
+    # squared distances with one root whose float32 keys differ by one step
+    d2 = evaluation._squared_distances(np.zeros((1, 2)),
+                                       shell_split(np.random.default_rng(0))
+                                       .gallery_embeddings)[0]
+    root, key = evaluation._root(d2), d2.astype(np.float32)
+    same_root = root[:, None] == root[None, :]
+    assert (same_root & (d2[:, None] != d2[None, :])).any()
+    assert (same_root & (np.nextafter(key[:, None], np.inf) == key[None, :])).any()
+
+
 def overflow_split(n_query, row):
     q = np.zeros((n_query, 1))
     q[row] = 1e200
@@ -400,14 +476,14 @@ def test_block_distances_equal_full_product_rows(d):
         height = evaluation.BLOCK_BYTES // (8 * n_gallery * workers)
         n_query = 2 * height + 1  # a naive partition leaves a one-row tail
         q = rng.normal(size=(n_query, d))
-        full = evaluation._cross_distances(q, g)
+        full = evaluation._squared_distances(q, g)
         if workers == 1:
             blocks = evaluation._query_blocks(n_query, n_gallery)
         else:
             blocks = evaluation._query_blocks(n_query, n_gallery, workers)
         assert [b.stop - b.start for b in blocks] == [height, height + 1]
         for block in blocks:
-            assert np.array_equal(evaluation._cross_distances(q[block], g),
+            assert np.array_equal(evaluation._squared_distances(q[block], g),
                                   full[block])
 
 
@@ -423,8 +499,8 @@ def test_query_blocks_cover_queries_without_one_row_blocks():
 @pytest.mark.parametrize("d", [3, 32])
 def test_distances_written_into_block_buffers_equal_fresh_rows(workers, monkeypatch, d):
     # The blocks reuse each worker's pair of buffers, the last (short) block
-    # a prefix of them; what is written there must equal a fresh product's
-    # rows, and rows of the full Q x G product, byte for byte.
+    # a prefix of them; the squared distances written there must equal a
+    # fresh product's rows, and rows of the full Q x G product, byte for byte.
     n_gallery = 4096
     n_query = 3 * evaluation.BLOCK_BYTES // (8 * n_gallery) + 50  # 3 blocks + 50
     height = evaluation.BLOCK_BYTES // (8 * n_gallery * workers)
@@ -432,18 +508,18 @@ def test_distances_written_into_block_buffers_equal_fresh_rows(workers, monkeypa
     split = labelled_split(rng, rng.normal(size=(n_query, d)),
                            rng.normal(size=(n_gallery, d)), 64)
     q, g = split.query_embeddings, split.gallery_embeddings
-    cross_distances = evaluation._cross_distances
+    squared_distances = evaluation._squared_distances
     written, buffers = [], set()
 
     def recording(a, b, b_sq=None, out=None, work=None):
-        dist = cross_distances(a, b, b_sq, out=out, work=work)
-        assert dist is out and out.base is not None and work.base is not None
+        d2 = squared_distances(a, b, b_sq, out=out, work=work)
+        assert d2 is out and out.base is not None and work.base is not None
         buffers.update((id(out.base), id(work.base)))
-        written.append((a, dist.copy()))
-        return dist
+        written.append((a, d2.copy()))
+        return d2
 
     want = loop_evaluate(split)
-    monkeypatch.setattr(evaluation, "_cross_distances", recording)
+    monkeypatch.setattr(evaluation, "_squared_distances", recording)
     assert_same_metrics(evaluate(split), want)
     assert 2 <= len(buffers) <= 2 * workers  # two arrays a worker
     heights = [b.stop - b.start for b in
@@ -451,11 +527,11 @@ def test_distances_written_into_block_buffers_equal_fresh_rows(workers, monkeypa
     assert heights == [height] * (n_query // height) + [n_query % height]
     assert 1 < heights[-1] < height  # a short last block
     assert sorted(len(a) for a, _ in written) == sorted(heights)
-    full = cross_distances(q, g)
-    for a, dist in written:
+    full = squared_distances(q, g)
+    for a, d2 in written:
         start = int(np.flatnonzero((q == a[0]).all(axis=1))[0])
-        assert dist.tobytes() == cross_distances(a, g).tobytes()
-        assert dist.tobytes() == full[start:start + len(a)].tobytes()
+        assert d2.tobytes() == squared_distances(a, g).tobytes()
+        assert d2.tobytes() == full[start:start + len(a)].tobytes()
 
 
 @pytest.mark.parametrize("n_query, n_gallery", [(0, 5), (5, 0), (0, 0)])
@@ -488,23 +564,25 @@ def test_peak_memory_stays_per_block(monkeypatch):
 
 def test_peak_memory_stays_per_block_on_tied_distances(monkeypatch):
     # Rounded 2-d normals sit on a few grid points, so nearly every relevant
-    # distance ties with others in its row.  Counting the ties at lower
-    # columns takes TIE_ENTRIES distances at a time; a stable argsort of the
-    # tied rows and its inverse took 32.4 MiB here.
+    # distance ties with others in its row; a collapsed model ties them all.
+    # The tied pairs are ranked TIE_ENTRIES squared distances at a time; a
+    # stable argsort of the tied rows and its inverse took 32.4 MiB here.
     rng = np.random.default_rng(15)
-    split = labelled_split(rng, np.round(rng.normal(size=(2048, 2))),
-                           np.round(rng.normal(size=(6144, 2))), 512)
-    want = loop_evaluate(split)
-    for workers in (1, 2):
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: workers)
-        tracemalloc.start()
-        try:
-            got = evaluate(split)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
-        assert_same_metrics(got, want)
+    tied = labelled_split(rng, np.round(rng.normal(size=(2048, 2))),
+                          np.round(rng.normal(size=(6144, 2))), 512)
+    collapsed = labelled_split(rng, np.ones((2048, 32)), np.ones((6144, 32)), 512)
+    for split in (tied, collapsed):
+        want = loop_evaluate(split)
+        for workers in (1, 2):
+            monkeypatch.setattr(evaluation, "_usable_cpus", lambda: workers)
+            tracemalloc.start()
+            try:
+                got = evaluate(split)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20 * 2**20
+            assert_same_metrics(got, want)
 
 
 def test_peak_memory_does_not_grow_with_block_count(workers, monkeypatch):
