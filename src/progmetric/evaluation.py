@@ -106,8 +106,8 @@ def _stable_ranks(d2, keys, key, rows, cols):
     step from thus ranks by the count of keys below it, one binary search
     for all pairs at once.  The rest are flagged: on a row whose d2 are all
     equal, the rank is the column; elsewhere it counts the row's d2 below
-    the least x where _root(x) reaches the pair's distance v, from its
-    column on, or reaches nextafter(v), before it, TIE_ENTRIES at a time.
+    the least x where _root(x) reaches the pair's distance v from its column
+    on, or nextafter(v) before it, in chunks of max(1, TIE_ENTRIES // n) rows.
     """
     n = size = keys.shape[1]
     found = np.zeros(len(rows), dtype=np.intp)
@@ -127,7 +127,7 @@ def _stable_ranks(d2, keys, key, rows, cols):
         return found
     v = _root(d2[rows[flagged], cols[flagged]])
     below, tied = _reach(v), _reach(np.nextafter(v, np.inf))
-    chunk = TIE_ENTRIES // n
+    chunk = max(1, TIE_ENTRIES // n)
     # row n - c of before is True at the columns before c
     before = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) < n, n)
     for i in range(0, len(flagged), chunk):

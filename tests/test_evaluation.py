@@ -343,6 +343,7 @@ def near_split(rng, scale, offset):
 
 
 F32 = np.finfo(np.float32)
+TIE_ENTRIES = evaluation.TIE_ENTRIES
 ADVERSARIAL = {  # a split, and what its squared distances d2 must show
     "shells": (shell_split, None),
     "huge": (lambda rng: near_split(rng, 1e20, 1e20),  # d2 past float32's max
@@ -357,17 +358,21 @@ ADVERSARIAL = {  # a split, and what its squared distances d2 must show
 }
 
 
+@pytest.mark.parametrize("tie_entries", [TIE_ENTRIES, 4])
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("kind", sorted(ADVERSARIAL))
 def test_key_ranking_matches_loop_reference_on_adversarial_splits(kind, n_workers,
+                                                                  tie_entries,
                                                                   monkeypatch):
     # Blocks rank on float32 keys of the squared distances and settle near
     # ties exactly; these splits put keys on every edge of that: roots that
     # collide while squared distances differ (shells, whose keys are equal
     # or one float32 step apart), keys past float32's range, keys that
-    # underflow, and squared distances rounded below 0.
+    # underflow, and squared distances rounded below 0.  A TIE_ENTRIES below
+    # the gallery size makes the flagged pairs scan one row at a time.
     make, shows = ADVERSARIAL[kind]
     monkeypatch.setattr(evaluation, "_usable_cpus", lambda: n_workers)
+    monkeypatch.setattr(evaluation, "TIE_ENTRIES", tie_entries)
     for seed in range(4):
         split = make(np.random.default_rng(seed))
         d2 = evaluation._squared_distances(split.query_embeddings,
