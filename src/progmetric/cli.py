@@ -22,7 +22,6 @@ from .config import ConfigError, RunConfig, load_config
 from .evaluation import evaluate, metrics_csv_lines, pca_apply, pca_reduce
 from .losses import HyperParams
 from .model import NonFiniteGradientError, embed
-from .sampler import BatchProducerError
 from .trainer import (
     TRAIN_MODES,
     RunReport,
@@ -201,8 +200,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, ValueError, OSError, BatchProducerError) as exc:
+        # overflow shows as the typed error it leads to, not as a warning line
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, NonFiniteGradientError) as exc:

@@ -115,6 +115,8 @@ def config_from_dict(raw) -> RunConfig:
             _check_type(field_types[key], value, key)
             kwargs[key] = value
     cfg = RunConfig(**kwargs)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed: expected an integer >= 0, got {cfg.seed!r}")
     cfg.pla = dataclasses.replace(cfg.pla, batch_spec=cfg.batch)
     cfg.model = dataclasses.replace(cfg.model, d_in=cfg.data.dim)
     return cfg

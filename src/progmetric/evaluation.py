@@ -213,6 +213,9 @@ def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
     """
     q = np.asarray(split.query_embeddings, dtype=float)
     g = np.asarray(split.gallery_embeddings, dtype=float)
+    for side, emb in (("query", q), ("gallery", g)):
+        if emb.ndim != 2:
+            raise InvalidInputError(f"{side} embeddings must be 2-D, got shape {emb.shape}")
     if q.shape[1] != g.shape[1]:
         raise InvalidInputError("query/gallery dimension mismatch")
     _check_finite(q, "query")

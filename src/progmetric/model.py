@@ -265,9 +265,10 @@ class OptimizerConfig:
                 raise InvalidInputError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.e0 >= self.e1:
             raise InvalidInputError("e0 must be smaller than e1")
-        for b in (self.beta1_early, self.beta1_late, self.beta2):
-            if not 0.0 < b < 1.0:
-                raise InvalidInputError("betas must lie in (0, 1)")
+        for name in ("beta1_early", "beta1_late", "beta2"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise InvalidInputError(
+                    f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
 
 
 def lr_schedule(epoch, cfg: OptimizerConfig):

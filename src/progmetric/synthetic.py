@@ -38,13 +38,21 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n_identities < 2:
-            raise InvalidInputError("need at least 2 identities")
-        if self.samples_per_identity < 1 or self.dim < 1:
-            raise InvalidInputError("counts must be positive")
-        for frac in (self.hard_negative_fraction, self.outlier_fraction,
-                     self.overhard_fraction):
-            if not 0.0 <= frac <= 1.0:
-                raise InvalidInputError("fractions must lie in [0, 1]")
+            raise InvalidInputError(f"n_identities must be >= 2, got {self.n_identities!r}")
+        for name in ("samples_per_identity", "dim"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("hard_negative_fraction", "outlier_fraction", "overhard_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidInputError(
+                    f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
+        # generate replaces an identity's first rows: overhard ones, then outliers
+        n_over = int(round(self.overhard_fraction * self.samples_per_identity))
+        n_out = int(round(self.outlier_fraction * self.samples_per_identity))
+        if n_over + n_out > self.samples_per_identity:
+            raise InvalidInputError(
+                f"overhard_fraction and outlier_fraction replace {n_over} + {n_out} of "
+                f"samples_per_identity = {self.samples_per_identity} rows")
         # centres are drawn from [-center_scale, center_scale), a finite width
         if not 0.0 <= self.center_scale <= sys.float_info.max / 2:
             raise InvalidInputError("center_scale must be >= 0 and at most half the "
@@ -89,6 +97,9 @@ def generate(spec: SynthSpec) -> LabeledDataset:
             block[j] = centers[i] + 4.0 * spec.intra_spread * rng.standard_normal(d)
         features[i * s : (i + 1) * s] = block
         labels[i * s : (i + 1) * s] = i
+    if not np.isfinite(features).all():
+        raise InvalidInputError(f"center_scale {spec.center_scale!r} and intra_spread "
+                                f"{spec.intra_spread!r} overflow the features")
     return LabeledDataset(features=features, labels=labels,
                           split_tags=["train"] * (n * s))
 

@@ -24,11 +24,12 @@ from .bayes_opt import (
     initial_design,
     propose,
 )
-from .losses import HyperParams, LossBreakdown
+from .losses import HyperParams, InvalidInputError, LossBreakdown
 from .model import (
     AdamState,
     ModelConfig,
     ModelParams,
+    NonFiniteGradientError,
     OptimizerConfig,
     adam_step,
     backward,
@@ -72,10 +73,10 @@ class PlaConfig:
     def __post_init__(self):
         if self.explore_epochs != 2 * self.objective_split:
             raise ValueError("explore_epochs must equal 2 * objective_split")
-        for n in (self.max_epochs, self.initial_design, self.exploit_epochs,
-                  self.objective_split, self.pool_size):
-            if n < 1:
-                raise ValueError("all counts must be >= 1")
+        for name in ("max_epochs", "initial_design", "exploit_epochs",
+                     "objective_split", "pool_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.expected_drop < 1.0:
             raise ValueError(f"expected_drop must lie in [0, 1), got {self.expected_drop!r}")
         if self.re_explore_policy not in ("all", "stale"):
@@ -227,9 +228,7 @@ class TrainingRun:
 
     The sampler lays every batch out as P distinct identities in K-long
     blocks, so all batches share one triplet layout, built here once, and
-    each batch's gradients go into one buffer the run owns.  Driven
-    directly, the run draws its batches in process; `run_fixed` and
-    `run_pla` open one `drawing_ahead` block for the whole run.
+    each batch's gradients go into one buffer the run owns.
 
     A run trains one loss mode, and Adam has moments for the entries it
     trains: the classifier (last in PARAM_FIELDS) only in LOGIT_MODES.
@@ -268,11 +267,7 @@ class TrainingRun:
 
     def train_epochs(self, w: HyperParams, n_epochs, phase, candidate):
         """Run n_epochs of mini-batch training in the run's mode; appends and
-        returns their stats.
-
-        The batches come from the run's sampler: in process, or from its
-        producer inside a `drawing_ahead` block the caller opened.
-        """
+        returns their stats."""
         start = len(self.rows)
         for _ in range(n_epochs):
             lr = lr_schedule(self.epoch, self.opt_cfg)
@@ -284,8 +279,13 @@ class TrainingRun:
                 emb, cache = forward_with_cache(self.params, x)
                 logits = (classify(self.params, cache.z_soft)
                           if self.mode in LOGIT_MODES else None)
-                breakdown, d_emb, d_logits = batch_loss_and_grads(
-                    self.mode, emb, logits, self.class_ids_for(idx), w, self.layout)
+                try:
+                    breakdown, d_emb, d_logits = batch_loss_and_grads(
+                        self.mode, emb, logits, self.class_ids_for(idx), w, self.layout)
+                except InvalidInputError as exc:
+                    # labels, layout and w are valid by construction, so the
+                    # model's outputs are what overflowed or went non-finite
+                    raise NonFiniteGradientError(f"training diverged: {exc}") from exc
                 backward(self.params, cache, d_emb, d_logits, out=self.grads)
                 adam_step(self.params, self.grads, self.adam, lr, beta1, self.opt_cfg)
                 acc += (breakdown.softmax_term, breakdown.gbh_term, breakdown.total)
@@ -332,8 +332,7 @@ def run_fixed(features, labels, mode, w: HyperParams, n_epochs,
     run = TrainingRun(features, labels, mode, model_cfg, opt_cfg, batch_spec, seed)
     if mode == "ce_only":
         w = HyperParams(lam=0.0, margin=w.margin, k=w.k, p=w.p)
-    with run.sampler.drawing_ahead(n_epochs * run.sampler.batches_per_epoch):
-        stats = run.train_epochs(w, n_epochs, phase="train", candidate=0)
+    stats = run.train_epochs(w, n_epochs, phase="train", candidate=0)
     report = RunReport(rows=run.rows, best_loss=min(
         (s.mean_total for s in stats), default=float("inf")))
     return RunResult(best_params=run.params.copy(), final_params=run.params,
@@ -357,27 +356,26 @@ def run_pla(features, labels, pla_cfg: PlaConfig, model_cfg: ModelConfig,
     objectives = [None] * len(candidates)
     best_params = run.params.copy()
     best_loss = float("inf")
-    with run.sampler.drawing_ahead(pla_cfg.max_epochs * run.sampler.batches_per_epoch):
-        for round_idx in itertools.count(1):
-            todo = [i for i, obj in enumerate(objectives)
-                    if pla_cfg.re_explore_policy == "all" or obj is None]
-            if run.epoch + len(todo) * pla_cfg.explore_epochs >= pla_cfg.max_epochs:
-                break
-            for i in todo:
-                rec = explore(run, candidates[i], pla_cfg, candidate=i)
-                objectives[i] = rec.objective_value
-                report.explorations.append((round_idx, i, rec))
-            gp = fit_gp(candidates, objectives)
-            w_new = propose(gp, pla_cfg.pool_size, bo_rng)
-            candidates.append(w_new)
-            objectives.append(None)
-            report.chosen.append(w_new)
-            stats = run.train_epochs(w_new, pla_cfg.exploit_epochs, phase="exploit",
-                                     candidate=len(candidates) - 1)
-            phase_mean = float(np.mean([s.mean_total for s in stats]))
-            if phase_mean < best_loss:
-                best_loss = phase_mean
-                best_params = run.params.copy()
+    for round_idx in itertools.count(1):
+        todo = [i for i, obj in enumerate(objectives)
+                if pla_cfg.re_explore_policy == "all" or obj is None]
+        if run.epoch + len(todo) * pla_cfg.explore_epochs >= pla_cfg.max_epochs:
+            break
+        for i in todo:
+            rec = explore(run, candidates[i], pla_cfg, candidate=i)
+            objectives[i] = rec.objective_value
+            report.explorations.append((round_idx, i, rec))
+        gp = fit_gp(candidates, objectives)
+        w_new = propose(gp, pla_cfg.pool_size, bo_rng)
+        candidates.append(w_new)
+        objectives.append(None)
+        report.chosen.append(w_new)
+        stats = run.train_epochs(w_new, pla_cfg.exploit_epochs, phase="exploit",
+                                 candidate=len(candidates) - 1)
+        phase_mean = float(np.mean([s.mean_total for s in stats]))
+        if phase_mean < best_loss:
+            best_loss = phase_mean
+            best_params = run.params.copy()
     report.best_loss = best_loss
     return RunResult(best_params=best_params, final_params=run.params,
                      report=report)

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import itertools
 import json
 import math
-import os
-import signal
+import pathlib
+import re
 import struct
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from progmetric import cli, sampler
+from progmetric import cli
 from progmetric.bayes_opt import NumericalError
 from progmetric.cli import main
 from progmetric.config import config_from_dict, load_config, ConfigError
@@ -253,6 +259,16 @@ BAD_CONFIGS = [
     ({"optimizer": {"e0": -1}}, "error: optimizer: e0 must be >= 0, got -1"),
     ({"optimizer": {"beta1_switch_epoch": -1}},
      "error: optimizer: beta1_switch_epoch must be >= 0, got -1"),
+    ({"seed": -1}, "error: seed: expected an integer >= 0, got -1"),
+    ({"data": {**DATA, "n_identities": 1}}, "error: data: n_identities must be >= 2, got 1"),
+    ({"data": {**DATA, "dim": 0}}, "error: data: dim must be >= 1, got 0"),
+    ({"data": {**DATA, "outlier_fraction": math.nan}},
+     "error: data: outlier_fraction must lie in [0, 1], got nan"),
+    ({"optimizer": {"beta2": 1.0}}, "error: optimizer: beta2 must lie in (0, 1), got 1.0"),
+    ({"pla": {**PLA, "pool_size": 0}}, "error: pla: pool_size must be >= 1, got 0"),
+    ({"data": {**DATA, "outlier_fraction": 0.5, "overhard_fraction": 0.6}},
+     "error: data: overhard_fraction and outlier_fraction replace 4 + 3 of "
+     "samples_per_identity = 6 rows"),
 ]
 
 
@@ -269,6 +285,140 @@ def test_bad_config_value_exits_1_naming_its_key(tmp_path, capsys, over, message
         assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "new.csv").exists()
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------- config property (fuzzed)
+
+def _near(lo, hi=None, integer=False):
+    """Values on, just inside and just across a field's bounds."""
+    if integer:
+        return [lo - 1, lo, lo + 1, float(lo)]
+    values = [lo, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+              math.nan, math.inf, -math.inf]
+    if hi is not None:
+        values += [hi, math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf)]
+    return values
+
+
+# (section or None for a top-level key, field, candidate values); every
+# other field keeps the tiny valid config of write_config
+FUZZED_FIELDS = [
+    (None, "seed", [-1, 0, 2**64, 1.5]),
+    (None, "epochs", [0, 1, None, 2.0]),
+    ("data", "n_identities", _near(2, integer=True)),
+    ("data", "samples_per_identity", [1, 2, 3, 3.0]),
+    ("data", "dim", _near(1, integer=True)),
+    ("data", "center_scale", _near(0.0, sys.float_info.max / 2)),
+    ("data", "intra_spread", _near(0.0, sys.float_info.max)),
+    ("data", "hard_negative_fraction", _near(0.0, 1.0)),
+    ("data", "outlier_fraction", _near(0.0, 1.0)),
+    ("data", "overhard_fraction", _near(0.0, 1.0)),
+    ("split", "query_per_identity", _near(1, integer=True) + [6]),
+    ("split", "open_set", [True, False, 1]),
+    ("split", "test_fraction", _near(0.0, 1.0)),
+    ("batch", "P", _near(2, integer=True) + [9]),
+    ("batch", "K", _near(2, integer=True) + [7]),
+    ("model", "hidden", _near(1, integer=True)),
+    ("model", "embed_dim", _near(1, integer=True) + [3]),
+    ("optimizer", "alpha0", _near(0.0) + [1e12]),
+    ("optimizer", "epsilon", _near(0.0)),
+    ("optimizer", "e0", _near(0, integer=True) + [300]),
+    ("optimizer", "e1", _near(150, integer=True)),
+    ("optimizer", "beta1_switch_epoch", _near(0, integer=True)),
+    ("optimizer", "beta1_early", _near(0.0, 1.0)),
+    ("optimizer", "beta1_late", _near(0.0, 1.0)),
+    ("optimizer", "beta2", _near(0.0, 1.0)),
+    ("pla", "max_epochs", _near(4, integer=True)),
+    ("pla", "initial_design", _near(1, integer=True) + [5]),
+    ("pla", "explore_epochs", _near(2, integer=True)),
+    ("pla", "objective_split", _near(1, integer=True)),
+    ("pla", "exploit_epochs", _near(1, integer=True)),
+    ("pla", "expected_drop", _near(0.0, 1.0)),
+    ("pla", "pool_size", _near(1, integer=True)),
+    ("pla", "re_explore_policy", ["all", "stale", "none"]),
+    ("fixed_w", "lam", _near(0.0, 2.0)),
+    ("fixed_w", "margin", _near(-0.1, 0.3)),
+    ("fixed_w", "k", _near(1, integer=True) + [8, 9]),
+    ("fixed_w", "p", _near(1, integer=True) + [16, 17]),
+]
+
+CONFIG_KEYS = [key for _, key, _ in FUZZED_FIELDS]
+CONFIG_EDITS = st.sampled_from(FUZZED_FIELDS).flatmap(
+    lambda f: st.tuples(st.just(f[:2]), st.sampled_from(f[2])))
+
+
+def run_cli(argv):
+    """main(argv)'s exit code and standard error, in process."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def run_commands(edits):
+    """gen-data, train in batch_hard and in pla, then eval each model, on the
+    tiny config with edits applied.  Each command writes its outputs and
+    exits 0; exits 1 with one `error:` line that names a config key
+    (gen-data, train) or with one `error:` line (eval, which reads no
+    config); or, only when the config is valid, exits 2 for a numerical
+    failure in train.  No exception escapes main."""
+    raw = {"seed": 0, "data": dict(DATA), "split": {"query_per_identity": 2},
+           "batch": {"P": 4, "K": 2}, "model": {"hidden": 8, "embed_dim": 8},
+           "optimizer": {}, "pla": dict(PLA),
+           "fixed_w": {"lam": 1.0, "margin": 0.2, "k": 1, "p": 1}, "epochs": 2}
+    for (section, key), value in edits:
+        (raw if section is None else raw[section])[key] = value
+    try:
+        config_from_dict(raw)
+        valid = True
+    except ConfigError:
+        valid = False
+
+    def check(code, err, outputs, keyed=True):
+        assert "Traceback" not in err
+        if code == 0:
+            assert all(p.exists() for p in outputs)
+            return True
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        if code == 2:
+            assert valid, (edits, err)
+        elif keyed:
+            # a config that does not load names an edited key; a valid one
+            # fails on a constraint between keys, and names one of them
+            assert code == 1, (edits, err)
+            keys = [key for (_, key), _ in edits] if not valid else CONFIG_KEYS
+            assert any(re.search(rf"\b{k}\b", lines[0]) for k in keys), (edits, err)
+        else:
+            assert code == 1, (edits, err)
+        return False
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({**raw, "out_dir": str(tmp / "out")}))
+        ds = tmp / "ds.csv"
+        if not check(*run_cli(["gen-data", "--config", str(cfg), "--dataset", str(ds)]),
+                     [ds]):
+            return
+        for mode in ("batch_hard", "pla"):
+            out = tmp / mode
+            files = [out / "report.csv", out / "checkpoint.bin"]
+            if mode == "pla":
+                files += [out / "explorations.csv", out / "chosen.csv"]
+            if not check(*run_cli(["train", "--config", str(cfg), "--dataset", str(ds),
+                                   "--mode", mode, "--out", str(out)]), files):
+                continue
+            metrics = out / "metrics.csv"
+            check(*run_cli(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                            "--dataset", str(ds), "--out", str(metrics)]),
+                  [metrics], keyed=False)
+
+
+@given(st.lists(CONFIG_EDITS, min_size=1, max_size=2, unique_by=lambda e: e[0]))
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+def test_every_command_exits_cleanly_on_any_config(edits):
+    run_commands(edits)
 
 
 def test_train_pla_budget_without_an_exploit_exits_1(tmp_path, capsys):
@@ -325,28 +475,18 @@ def test_train_nonfinite_gradient_exits_2(tmp_path, capsys, monkeypatch):
     assert err == "error: non-finite gradient encountered\n"
 
 
-def test_train_batch_producer_killed_exits_1(tmp_path, capsys, monkeypatch, forks):
-    # 4 batches an epoch: the run's 10-epoch budget is long enough to fork
-    cfg = write_config(tmp_path, pla={"max_epochs": 10, "initial_design": 2,
-                                      "explore_epochs": 4, "objective_split": 2,
-                                      "exploit_epochs": 4, "pool_size": 16})
+
+@pytest.mark.parametrize("mode", ["batch_hard", "composite_fixed", "pla"])
+def test_train_on_data_that_overflows_the_model_exits_2(tmp_path, capsys, mode):
+    # centres near half the largest float: the embeddings overflow, and
+    # training reports that as a numerical failure, on one line
+    data = {**DATA, "center_scale": 8.9e307}
+    cfg = write_config(tmp_path, data=data)
     ds = gen_dataset(tmp_path, cfg)
     capsys.readouterr()
-    parent, draw = os.getpid(), sampler._draw
-
-    def draw_then_die(*args):
-        if os.getpid() != parent:  # in the producer: die mid-block
-            os.kill(os.getpid(), signal.SIGKILL)
-        return draw(*args)
-
-    monkeypatch.setattr(sampler, "_draw", draw_then_die)
-    assert main(["train", "--config", str(cfg), "--dataset", str(ds)]) == 1
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds), "--mode", mode]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: the batch producer (pid ")
-    assert "was killed by signal 9" in err and "Traceback" not in err
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert err.startswith("error: training diverged: ") and err.count("\n") == 1
 
 
 # -------------------------------------------------------------------- eval

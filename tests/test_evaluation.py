@@ -692,6 +692,18 @@ def test_dimension_mismatch():
         evaluate(split)
 
 
+@pytest.mark.parametrize("side", ["query", "gallery"])
+@pytest.mark.parametrize("shape", [(), (2,), (2, 1, 1)])
+def test_embeddings_that_are_not_2d_raise_typed_error(side, shape):
+    emb = {"query": np.zeros((2, 1)), "gallery": np.ones((2, 1))}
+    emb[side] = np.zeros(shape)
+    split = QueryGallerySplit(
+        query_embeddings=emb["query"], query_labels=np.zeros(2, int),
+        gallery_embeddings=emb["gallery"], gallery_labels=np.zeros(2, int))
+    with pytest.raises(InvalidInputError, match=f"^{side} embeddings must be 2-D"):
+        evaluate(split)
+
+
 @pytest.mark.parametrize("n_q_labels, n_g_labels", [(1, 2), (3, 2), (2, 1), (2, 3)])
 def test_label_count_mismatch(n_q_labels, n_g_labels):
     split = QueryGallerySplit(

@@ -1,15 +1,10 @@
-import contextlib
-import os
-import signal
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progmetric.sampler import (
-    MIN_FORKED_BATCHES as FLOOR,
-    BatchProducerError,
+    CHUNK_BATCHES,
     BatchSpec,
     InsufficientDataError,
     PKSampler,
@@ -75,6 +70,35 @@ def test_sampler_too_few_identities_raises_at_construction():
         PKSampler(make_labels(3, 4), BatchSpec(4, 2), seed=0)
 
 
+def random_dataset(rng):
+    """Shuffled labels and a batch spec with K up to 16: equal pools, or
+    unequal ones from a single sample up to past 2K, often with pools of
+    exactly K; n_ids == P about one time in four."""
+    K = int(rng.integers(2, 17))
+    P = int(rng.integers(2, 9))
+    n_ids = P + int(rng.integers(0, 4))
+    if rng.random() < 0.3:
+        counts = np.full(n_ids, int(rng.integers(1, 2 * K + 3)))
+    else:
+        counts = rng.integers(1, 2 * K + 3, n_ids)
+        counts[rng.random(n_ids) < 0.25] = K
+    ids = rng.choice(10**6, n_ids, replace=False)
+    return rng.permutation(np.repeat(ids, counts)), BatchSpec(P, K)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pk_sample_matches_reference_on_random_datasets(seed):
+    rng = np.random.default_rng(seed)
+    labels, spec = random_dataset(rng)
+    draw_seed = int(rng.integers(2**32))
+    rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+    for _ in range(10):
+        assert np.array_equal(pk_sample(labels, spec, rng),
+                              loop_pk_sample(labels, spec, ref_rng))
+    # the caller's generator is left where per-pool choice calls leave it
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_pk_sample_matches_reference_draw_for_draw():
     labels = shuffled_labels(3)
     spec = BatchSpec(4, 4)
@@ -82,15 +106,37 @@ def test_pk_sample_matches_reference_draw_for_draw():
     for _ in range(500):
         assert np.array_equal(pk_sample(labels, spec, rng),
                               loop_pk_sample(labels, spec, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sampler_matches_pk_sample_draw_for_draw():
+    # 500 batches span eight chunks; the last one is left part drawn
     labels = shuffled_labels(4)
     spec = BatchSpec(4, 4)
     sampler = PKSampler(labels, spec, seed=17)
     rng = np.random.default_rng(17)
     for _ in range(500):
         assert np.array_equal(sampler.sample(), pk_sample(labels, spec, rng))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sampler_matches_reference_across_chunks(seed):
+    rng = np.random.default_rng(100 + seed)
+    labels, spec = random_dataset(rng)
+    sampler = PKSampler(labels, spec, seed=seed)
+    ref_rng = np.random.default_rng(seed)
+    for _ in range(2 * CHUNK_BATCHES + 3):
+        assert np.array_equal(sampler.sample(), loop_pk_sample(labels, spec, ref_rng))
+
+
+def test_sampler_batches_are_writable_int_arrays():
+    sampler = PKSampler(shuffled_labels(5), BatchSpec(4, 4), seed=11)
+    first = sampler.sample()
+    for _ in range(CHUNK_BATCHES + 1):
+        idx = sampler.sample()
+        idx[0] = -1
+        assert idx.dtype == np.dtype(int) and idx.shape == (16,)
+    assert first[0] != -1
 
 
 def test_spec_validation():
@@ -141,144 +187,3 @@ def test_identity_selection_uniformity():
     expect = n * 0.5
     sigma = np.sqrt(n * 0.5 * 0.5)
     assert np.all(np.abs(counts - expect) <= 3 * sigma)
-
-
-# ------------------------------------------------------ drawing ahead (fork)
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError after `seconds`, and again every second after
-    that, so a wait that never returns cannot hang cleanup either."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds, 1.0)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def ahead_sampler(seed=11, spec=BatchSpec(4, 4)):
-    return PKSampler(shuffled_labels(5), spec, seed)
-
-
-def test_producer_draws_equal_in_process_draws_across_blocks(forks, monkeypatch):
-    # blocks that stay in process (below the floor, one CPU) keep the stream
-    # here; the first forked block takes it over where they left it
-    sampler, ref = ahead_sampler(), ahead_sampler()
-    with sampler.drawing_ahead(FLOOR - 1):
-        for _ in range(3):
-            assert np.array_equal(sampler.sample(), ref.sample())
-    with monkeypatch.context() as m:
-        m.setattr(os, "sched_getaffinity", lambda pid: {0})
-        with sampler.drawing_ahead(FLOOR):
-            assert np.array_equal(sampler.sample(), ref.sample())
-    assert np.array_equal(sampler.sample(), ref.sample())
-    with sampler.drawing_ahead(FLOOR + 17):
-        for _ in range(FLOOR + 17):
-            assert np.array_equal(sampler.sample(), ref.sample())
-    assert len(forks) == 1
-
-
-@pytest.mark.parametrize("k", (0, 1, 6))
-def test_block_left_at_batch_k_spends_the_stream(forks, monkeypatch, k):
-    # the producer took the generator's stream: after its block nothing may
-    # draw from, or fork from, the generator left behind, which would
-    # restart the stream at the block's first batch
-    sampler, ref = ahead_sampler(), ahead_sampler()
-    with pytest.raises(KeyError):
-        with sampler.drawing_ahead(500):
-            for _ in range(k):
-                assert np.array_equal(sampler.sample(), ref.sample())
-            raise KeyError("training failed mid-block")
-    with pytest.raises(BatchProducerError, match="block has ended"):
-        sampler.sample()
-    for n in (FLOOR + 3, 1):
-        with pytest.raises(BatchProducerError, match="block has ended"):
-            with sampler.drawing_ahead(n):
-                sampler.sample()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    with pytest.raises(BatchProducerError, match="block has ended"):
-        with sampler.drawing_ahead(FLOOR):
-            pass
-    assert len(forks) == 1
-
-
-def test_sampling_past_the_hint_reads_the_producer(forks, monkeypatch):
-    sampler, ref = ahead_sampler(), ahead_sampler()
-    with sampler.drawing_ahead(FLOOR):
-        # a draw in this process would fail
-        monkeypatch.setattr(sampler, "_pools", None)
-        for _ in range(3 * FLOOR + 5):
-            assert np.array_equal(sampler.sample(), ref.sample())
-    assert len(forks) == 1
-
-
-def test_producer_batches_are_writable_int_arrays(forks):
-    sampler = ahead_sampler()
-    with sampler.drawing_ahead(FLOOR):
-        idx = sampler.sample()
-        idx[0] = -1
-    assert idx.dtype == np.dtype(int) and idx.shape == (16,)
-
-
-def test_nested_and_interleaved_blocks_finish(forks):
-    # each producer must hold no other sampler's read end: if it did, ending
-    # the other block would not stop that block's producer, which blocks on
-    # its full pipe, and reaping it would hang
-    a, b, c, d, ref_a, ref_b, ref_c, ref_d = (
-        ahead_sampler(seed) for seed in (1, 2, 3, 4, 1, 2, 3, 4))
-    with time_limit(30):
-        with a.drawing_ahead(3000):
-            a.sample(), ref_a.sample()
-            with b.drawing_ahead(3000):
-                b.sample(), ref_b.sample()
-            assert np.array_equal(a.sample(), ref_a.sample())
-        outer = c.drawing_ahead(3000)
-        outer.__enter__()
-        with d.drawing_ahead(3000):
-            d.sample(), ref_d.sample()
-            c.sample(), ref_c.sample()
-            outer.__exit__(None, None, None)
-            assert np.array_equal(d.sample(), ref_d.sample())
-    assert len(forks) == 4
-
-
-def test_killed_producer_raises_typed_error_and_is_reaped(forks):
-    sampler, ref = ahead_sampler(), ahead_sampler()
-    with pytest.raises(BatchProducerError, match="killed by signal 9"):
-        with sampler.drawing_ahead(100_000):
-            assert np.array_equal(sampler.sample(), ref.sample())
-            os.kill(forks[0], signal.SIGKILL)
-            for _ in range(100_000):
-                sampler.sample()
-                ref.sample()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    # the dead producer took the stream with it
-    with pytest.raises(BatchProducerError, match="block has ended"):
-        sampler.sample()
-
-
-def test_one_usable_cpu_draws_in_process(monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    sampler, ref = ahead_sampler(), ahead_sampler()
-    with sampler.drawing_ahead(FLOOR):
-        for _ in range(FLOOR):
-            assert np.array_equal(sampler.sample(), ref.sample())
-    assert forks == []
-
-
-def test_blocks_shorter_than_the_floor_draw_in_process(forks):
-    sampler, ref = ahead_sampler(), ahead_sampler()
-    for n in (1, FLOOR - 1):
-        with sampler.drawing_ahead(n):
-            for _ in range(n):
-                assert np.array_equal(sampler.sample(), ref.sample())
-    assert forks == []
-    with sampler.drawing_ahead(FLOOR):
-        assert np.array_equal(sampler.sample(), ref.sample())
-    assert len(forks) == 1

@@ -80,6 +80,12 @@ def test_spec_validation():
         clean_spec(dim=0)
 
 
+def test_generate_rejects_features_that_overflow():
+    with pytest.raises(InvalidInputError, match="intra_spread .* overflow the features"), \
+            np.errstate(over="ignore"):
+        generate(clean_spec(intra_spread=1e308))
+
+
 # -------------------------------------------------------------------- split
 
 def test_split_counts_closed_set():

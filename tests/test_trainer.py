@@ -1,4 +1,3 @@
-import functools
 import itertools
 import os
 import struct
@@ -10,7 +9,7 @@ import pytest
 from progmetric.losses import HyperParams, TripletLayout, triplet_layout
 from progmetric.model import PARAM_FIELDS, ModelConfig, OptimizerConfig
 from progmetric.sampler import BatchSpec
-from progmetric.synthetic import SynthSpec, generate, split, train_partition
+from progmetric.synthetic import SynthSpec, generate
 from progmetric import trainer
 from progmetric.trainer import (
     MODEL_MAGIC,
@@ -105,80 +104,18 @@ def test_run_pla_bit_reproducible():
     assert params_equal(a.best_params, b.best_params)
 
 
-# ------------------------------------------- batches drawn on a second process
+# ----------------------------------------------------- batches drawn in process
 
-@functools.cache
-def desk_data(config):
-    """Training data of a desk-scale config: the CLI default data for
-    PlaConfig(), criterion 8's split of its seed-7 data otherwise."""
-    if config == "default":
-        ds = generate(SynthSpec(n_identities=64, samples_per_identity=16, dim=32))
-        return ds.features, ds.labels
-    ds = generate(SynthSpec(n_identities=64, samples_per_identity=16, dim=32,
-                            center_scale=10.0, intra_spread=1.0,
-                            hard_negative_fraction=0.10, outlier_fraction=0.10,
-                            overhard_fraction=0.05, seed=7))
-    return train_partition(split(ds, 4, np.random.default_rng(1)))
+def test_runs_complete_without_forking(monkeypatch):
+    def no_fork():
+        raise AssertionError("training forked a process")
 
-
-DESK_PLA = {"default": PlaConfig(),
-            "criterion8": PlaConfig(max_epochs=200, explore_epochs=4, objective_split=2,
-                                    exploit_epochs=60, batch_spec=BatchSpec(16, 8),
-                                    re_explore_policy="stale")}
-
-
-@pytest.mark.parametrize("config", sorted(DESK_PLA))
-@pytest.mark.parametrize("seed", range(5))
-def test_run_pla_same_with_one_cpu_as_with_a_producer(monkeypatch, forks, config, seed):
-    x, y = desk_data(config)
-    model_cfg = ModelConfig(d_in=32, hidden=64, embed_dim=32)
-    two = run_pla(x, y, DESK_PLA[config], model_cfg, OptimizerConfig(), seed=seed)
-    assert len(forks) == 1  # one producer for the whole run
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one = run_pla(x, y, DESK_PLA[config], model_cfg, OptimizerConfig(), seed=seed)
-    assert len(forks) == 1
-    assert one.report.rows == two.report.rows
-    assert one.report.explorations == two.report.explorations
-    assert one.report.chosen == two.report.chosen
-    assert one.report.best_loss == two.report.best_loss
-    assert params_equal(one.best_params, two.best_params)
-    assert params_equal(one.final_params, two.final_params)
-
-
-def test_a_run_forks_one_producer_or_none_below_the_floor(forks):
-    x, y = desk_data("criterion8")
-    model_cfg = ModelConfig(d_in=32, hidden=64, embed_dim=32)
-    run_pla(x, y, DESK_PLA["criterion8"], model_cfg, OptimizerConfig(), seed=0)
-    assert len(forks) == 1
-    run_fixed(x, y, "composite_fixed", W, 4, model_cfg, OptimizerConfig(),
-              BatchSpec(16, 8), seed=0)
-    assert len(forks) == 2
-    with pytest.raises(ChildProcessError):  # both producers are reaped
-        os.waitpid(-1, os.WNOHANG)
-    # budgets of 12 and 15 batches; the PLA run draws 21
+    monkeypatch.setattr(os, "fork", no_fork)
     x, y = small_data()
-    run_fixed(x, y, "batch_hard", W, 2, MODEL, OptimizerConfig(), BATCH, seed=0)
-    res = run_pla(x, y, small_pla(max_epochs=5, batch_spec=BatchSpec(4, 4)),
-                  MODEL, OptimizerConfig(), seed=0)
-    assert res.report.total_epochs == 7
-    assert len(forks) == 2
-
-
-def test_training_that_raises_mid_block_leaves_no_process(monkeypatch, forks):
-    calls = []
-
-    def failing_step(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 7:
-            raise FloatingPointError("step 7 failed")
-
-    monkeypatch.setattr(trainer, "adam_step", failing_step)
-    x, y = small_data()
-    with pytest.raises(FloatingPointError):
-        run_fixed(x, y, "batch_hard", W, 40, MODEL, OptimizerConfig(), BATCH, seed=0)
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    res = run_fixed(x, y, "batch_hard", W, 40, MODEL, OptimizerConfig(), BATCH, seed=0)
+    assert res.report.total_epochs == 40
+    res = run_pla(x, y, small_pla(max_epochs=40), MODEL, OptimizerConfig(), seed=0)
+    assert res.report.total_epochs == 40
 
 
 # -------------------------------------------------------------- fixed modes
