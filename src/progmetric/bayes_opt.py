@@ -7,12 +7,12 @@ grids and are embedded as reals inside the GP, rounding on instantiation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import HyperParams, K_RANGE, LAMBDA_RANGE, MARGIN_RANGE, P_RANGE
-from .special import ndtr
 
 # Box bounds in vector order (lam, margin, k, p).
 BOX_LOW = np.array([LAMBDA_RANGE[0], MARGIN_RANGE[0], K_RANGE[0], P_RANGE[0]], dtype=float)
@@ -200,6 +200,16 @@ def fit_gp(points, values, jitter=DEFAULT_JITTER, bandwidth=None):
     )
 
 
+def _normal_cdf(z):
+    """Standard normal CDF, 0.5 erfc(-z / sqrt(2)) per entry, with erfc from
+    the C library through `math.erfc` (NaN gives NaN).  The argument is z
+    times the double nearest 1 / sqrt(2), as in Cephes `ndtr`: dividing by
+    sqrt(2) rounds differently, which erfc's tail magnifies."""
+    z = np.asarray(z, dtype=float)
+    x = (-z.ravel() * math.sqrt(0.5)).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, x), float, len(x)).reshape(z.shape)
+
+
 def expected_improvement(state: GPState, candidates, best_value):
     """Closed-form EI for minimization: sigma * (Z Phi(Z) + phi(Z)).
 
@@ -211,7 +221,7 @@ def expected_improvement(state: GPState, candidates, best_value):
     flat = sigma <= 0.0
     z = (best_value - mean) / np.where(flat, 1.0, sigma)
     pdf = np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi)
-    ei = np.where(flat, 0.0, np.maximum(sigma * (z * ndtr(z) + pdf), 0.0))
+    ei = np.where(flat, 0.0, np.maximum(sigma * (z * _normal_cdf(z) + pdf), 0.0))
     return float(ei) if ei.ndim == 0 else ei
 
 

@@ -76,8 +76,6 @@ def cmd_train(args):
     model_cfg = dataclasses.replace(cfg.model, d_in=features.shape[1])
     out = Path(cfg.out_dir)
     budget = next(n for n in (args.epochs, cfg.epochs, cfg.pla.max_epochs) if n is not None)
-    if budget < 1:  # the config's epochs and max_epochs are validated at load
-        raise ValueError(f"--epochs must be >= 1, got {budget}")
     if args.mode == "pla":
         result = run_pla(features, labels, cfg.pla, model_cfg, cfg.optimizer,
                          cfg.seed)
@@ -119,8 +117,7 @@ def cmd_eval(args):
 
 
 def cmd_tune_demo(args):
-    trace = run_tuning(args.seed if args.seed is not None else 0,
-                       rounds=args.rounds, pool_size=args.pool,
+    trace = run_tuning(args.seed, rounds=args.rounds, pool_size=args.pool,
                        n_initial=args.initial)
     out = Path(args.out or "tune_trace.csv")
     _write_lines(out, trace_csv_lines(trace))
@@ -151,15 +148,35 @@ def cmd_report(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input: one `error:` line and exit 1
+    from `main`, where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _int_at_least(low):
+    """argparse type: an integer >= low; argparse names the flag on error."""
+    def parse(text):
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return parse
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="progmetric",
         description="Progressive metric-learning experiments on synthetic identity clusters")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate and save a synthetic dataset")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--dataset", help="explicit dataset file path")
     p.set_defaults(func=cmd_gen_data)
@@ -168,9 +185,9 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--mode", choices=TRAIN_MODES, default="pla")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--epochs", type=int,
+    p.add_argument("--epochs", type=_int_at_least(1),
                    help="epoch budget, fixed modes only (pla mode uses pla.max_epochs)")
     p.set_defaults(func=cmd_train)
 
@@ -183,10 +200,10 @@ def build_parser():
 
     p = sub.add_parser("tune-demo",
                        help="optimizer self-test on a built-in quadratic objective")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rounds", type=int, default=30)
-    p.add_argument("--pool", type=int, default=256)
-    p.add_argument("--initial", type=int, default=8)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--rounds", type=_int_at_least(0), default=30)
+    p.add_argument("--pool", type=_int_at_least(1), default=256)
+    p.add_argument("--initial", type=_int_at_least(1), default=8)
     p.add_argument("--out", help="trace file path")
     p.set_defaults(func=cmd_tune_demo)
 
@@ -197,9 +214,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # overflow shows as the typed error it leads to, not as a warning line
         with np.errstate(all="ignore"):
             return args.func(args)

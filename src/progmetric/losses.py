@@ -12,11 +12,10 @@ whose batches all share one label pattern builds once.  Each value function
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .special import expit
 
 DIST_EPS = 1e-12
 
@@ -78,6 +77,31 @@ def softplus(x):
     """Overflow-safe ln(1 + exp(x))."""
     x = np.asarray(x, dtype=float)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _exp_or_inf(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def expit(t):
+    """Logistic sigmoid 1 / (1 + exp(-t)), elementwise; 0 where exp(-t)
+    overflows.
+
+    `exp` comes from the C library through `math.exp`, so the result has the
+    float64 bits of scipy's `expit`; numpy's vectorised `exp` differs from
+    the C library's in the last bit on some inputs, so it is not used.
+    """
+    t = np.asarray(t, dtype=float)
+    values = (-t.ravel()).tolist()
+    try:
+        e = np.fromiter(map(math.exp, values), float, len(values))
+    except OverflowError:  # an entry above ~709.78: rare, so retried per entry
+        e = np.fromiter(map(_exp_or_inf, values), float, len(values))
+    e += 1.0
+    return np.divide(1.0, e, out=e).reshape(t.shape)
 
 
 def pairwise_distances(embeddings):

@@ -200,7 +200,8 @@ def test_train_epochs_below_one_exits_1(tmp_path, capsys, epochs):
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--dataset", str(ds),
                  "--mode", "ce_only", "--epochs", epochs]) == 1
-    assert capsys.readouterr().err == f"error: --epochs must be >= 1, got {epochs}\n"
+    assert capsys.readouterr().err == (
+        f"error: argument --epochs: expected an integer >= 1, got '{epochs}'\n")
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
@@ -421,6 +422,51 @@ def test_every_command_exits_cleanly_on_any_config(edits):
     run_commands(edits)
 
 
+# --------------------------------------------------- flag property (fuzzed)
+
+# (command, flag, least valid value); unedited flags keep their defaults
+FUZZED_FLAGS = [("gen-data", "--seed", 0), ("train", "--seed", 0), ("train", "--epochs", 1),
+                ("tune-demo", "--seed", 0), ("tune-demo", "--rounds", 0),
+                ("tune-demo", "--pool", 1), ("tune-demo", "--initial", 1)]
+FLAG_VALUES = st.one_of(st.integers(-2, 3).map(str),
+                        st.sampled_from(["-0", "1.5", "2e0", "abc", "", "-x"]))
+FLAG_EDITS = st.tuples(st.sampled_from(FUZZED_FLAGS), FLAG_VALUES)
+
+
+@given(st.lists(FLAG_EDITS, min_size=1, max_size=3, unique_by=lambda e: e[0]))
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+def test_every_command_exits_cleanly_on_any_flag(edits):
+    """gen-data, train (batch_hard) and tune-demo with edited flag values:
+    each exits 0 with its output written when its values are integers at
+    or above the flag's least value, else exits 1 with one `error:` line
+    naming a bad flag and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        cfg = write_config(tmp, epochs=2)
+        ds = tmp / "ds.csv"
+        assert run_cli(["gen-data", "--config", str(cfg), "--dataset", str(ds)])[0] == 0
+        commands = {
+            "gen-data": (["--config", str(cfg), "--dataset", str(tmp / "gen.csv")],
+                         tmp / "gen.csv"),
+            "train": (["--config", str(cfg), "--dataset", str(ds), "--mode", "batch_hard",
+                       "--out", str(tmp / "train")], tmp / "train" / "checkpoint.bin"),
+            "tune-demo": (["--out", str(tmp / "trace.csv")], tmp / "trace.csv"),
+        }
+        for command, (argv, output) in commands.items():
+            flags = [(flag, low, value) for (cmd, flag, low), value in edits if cmd == command]
+            bad = [flag for flag, low, value in flags
+                   if not (value.lstrip("-").isdigit() and int(value) >= low)]
+            code, err = run_cli([command, *argv,
+                                 *itertools.chain.from_iterable((f, v) for f, _, v in flags)])
+            if not bad:
+                assert code == 0 and output.exists(), (edits, err)
+                continue
+            lines = err.splitlines()
+            assert code == 1 and len(lines) == 1, (edits, err)
+            assert any(lines[0].startswith(f"error: argument {f}: ") for f in bad), (edits, err)
+            assert not output.exists(), edits
+
+
 def test_train_pla_budget_without_an_exploit_exits_1(tmp_path, capsys):
     ds = gen_dataset(tmp_path, write_config(tmp_path))
     pla = {"max_epochs": 4, "initial_design": 2, "explore_epochs": 2,
@@ -592,18 +638,34 @@ def test_tune_demo_trace_counting(tmp_path):
     assert len(lines) == 1 + 4 + 1  # header + initial design + one proposal
 
 
-@pytest.mark.parametrize("flags", [
-    ["--initial", "0", "--rounds", "0"],
-    ["--initial", "0"],
-    ["--rounds", "-1"],
-    ["--pool", "0"],
+@pytest.mark.parametrize("flags,message", [
+    (["--initial", "0", "--rounds", "0"], "--initial: expected an integer >= 1, got '0'"),
+    (["--initial", "0"], "--initial: expected an integer >= 1, got '0'"),
+    (["--rounds", "-1"], "--rounds: expected an integer >= 0, got '-1'"),
+    (["--pool", "0"], "--pool: expected an integer >= 1, got '0'"),
 ], ids=["no_evaluations", "no_initial", "negative_rounds", "empty_pool"])
-def test_tune_demo_bad_counts_exit_1(tmp_path, capsys, flags):
+def test_tune_demo_bad_counts_exit_1(tmp_path, capsys, flags, message):
     out = tmp_path / "trace.csv"
     assert main(["tune-demo", "--seed", "0", "--out", str(out)] + flags) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: run_tuning needs n_initial >= 1, rounds >= 0 and pool_size >= 1")
+    assert capsys.readouterr().err == f"error: argument {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["tune-demo", "--bogus"], "unrecognized arguments: --bogus"),
+    (["train", "--config", "c.json"], "the following arguments are required: --dataset"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown_flag", "missing_flag", "no_command"])
+def test_usage_errors_exit_1_on_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tune-demo", "-h"])
+    assert exc.value.code == 0
+    assert "--rounds" in capsys.readouterr().out
 
 
 def test_tune_demo_numerical_error_exits_2(capsys, monkeypatch):

@@ -2,10 +2,13 @@
 retrieval.
 
 `fingerprints.json` holds the fingerprints and the environment they were
-pinned under: numpy's version and the BLAS configuration it was built
-with.  A change that alters an output on purpose re-pins its fingerprint in
-its own diff.  Under another numpy or BLAS the test fails and names the
-difference, since other kernels may round differently.
+pinned under: numpy's version, the BLAS configuration it was built with,
+the C library and the Python version.  Training's `expit` takes `exp`, and
+expected improvement's normal CDF `erfc`, from the C library through
+Python's `math`.  A change that alters an output on purpose re-pins its
+fingerprint in its own diff.  Under another numpy, BLAS, C library or
+Python the test fails and names the difference, since other kernels may
+round differently.
 
 Regenerate with ``python tests/test_fingerprints.py`` (prints the JSON).
 """
@@ -13,6 +16,7 @@ Regenerate with ``python tests/test_fingerprints.py`` (prints the JSON).
 import hashlib
 import json
 import pathlib
+import platform
 import tempfile
 
 import numpy as np
@@ -39,7 +43,9 @@ BATCH = BatchSpec(4, 4)
 def environment():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
-            "blas": blas.get("openblas configuration", blas.get("name"))}
+            "blas": blas.get("openblas configuration", blas.get("name")),
+            "libc": " ".join(platform.libc_ver()),
+            "python": platform.python_version()}
 
 
 def retrieval_split(name):

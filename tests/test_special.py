@@ -1,3 +1,8 @@
+"""The two special functions the package computes without scipy: the
+logistic sigmoid `losses.expit` (the generalized triplet loss's gradient)
+and the standard normal CDF `bayes_opt._normal_cdf` (expected
+improvement), each checked against scipy on over 10^6 values."""
+
 import os
 import subprocess
 import sys
@@ -7,7 +12,8 @@ import pytest
 from scipy import special as scipy_special
 
 import progmetric
-from progmetric.special import expit, ndtr
+from progmetric.bayes_opt import _normal_cdf
+from progmetric.losses import expit
 
 SQRT2 = np.sqrt(2.0)
 
@@ -30,7 +36,7 @@ def edge_values():
     for v in (709.782712893384, 745.1332191019412, 38.5, 37.7):
         edges += around(v)
     edges += list(np.linspace(-746.0, -709.0, 200)) + list(np.linspace(709.0, 746.0, 200))
-    # ndtr's branch edges: |a| / sqrt(2) at 1 / sqrt(2), 1 and 8
+    # Cephes ndtr's branch edges: |a| / sqrt(2) at 1 / sqrt(2), 1 and 8
     for v in (1.0, SQRT2, 8.0 * SQRT2):
         edges += around(v, steps=20)
     return np.array(edges, dtype=float)
@@ -49,8 +55,7 @@ def million_values():
     ])
 
 
-@pytest.mark.parametrize("ours,reference", [(expit, scipy_special.expit),
-                                            (ndtr, scipy_special.ndtr)])
+@pytest.mark.parametrize("ours,reference", [(expit, scipy_special.expit)])
 def test_port_equals_scipy_bit_for_bit(ours, reference):
     x = million_values()
     assert x.size >= 1_000_000
@@ -62,7 +67,19 @@ def test_port_equals_scipy_bit_for_bit(ours, reference):
     assert bad.size == 0, f"differs at {x[~nan][bad[:5]]}"
 
 
-@pytest.mark.parametrize("f", (expit, ndtr))
+def test_normal_cdf_close_to_scipy_ndtr():
+    # erfc from the C library, not Cephes: last-bit differences, and
+    # subnormal values in the far lower tail where Cephes flushes to 0
+    x = million_values()
+    assert x.size >= 1_000_000
+    got, want = _normal_cdf(x), scipy_special.ndtr(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+    exact = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    assert np.array_equal(_normal_cdf(exact), [0.5, 0.5, 1.0, 0.0, np.nan], equal_nan=True)
+
+
+@pytest.mark.parametrize("f", (expit, _normal_cdf), ids=("expit", "ndtr"))
 def test_port_keeps_shape(f):
     x = np.linspace(-40.0, 40.0, 24).reshape(2, 3, 4)
     assert np.array_equal(f(x), f(x.ravel()).reshape(x.shape))
