@@ -9,12 +9,12 @@ import numpy as np
 
 from progmetric import (
     HyperParams,
-    batch_hard_loss,
     composite_loss,
     gbh_loss,
     gbh_terms,
     pairwise_distances,
 )
+from progmetric.losses import batch_hard_grad
 
 x = np.array([[0.0], [1.0], [1.5], [2.5]])
 labels = np.array([0, 0, 1, 1])
@@ -23,7 +23,7 @@ print("embeddings:", x.ravel().tolist(), "labels:", labels.tolist())
 print("\npairwise distances:")
 print(pairwise_distances(x))
 
-print("\nbatch-hard loss (hinge, m=0.2):", batch_hard_loss(x, labels, 0.2))
+print("\nbatch-hard loss (hinge, m=0.2):", batch_hard_grad(x, labels, 0.2)[0])
 
 print("\nT terms for the order-statistic loss (per anchor):")
 for k in (1, 2):

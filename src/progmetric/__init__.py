@@ -12,7 +12,6 @@ from .losses import (
     HyperParams,
     InvalidInputError,
     LossBreakdown,
-    batch_hard_loss,
     composite_loss,
     composite_loss_grad,
     cross_entropy_loss,
@@ -20,7 +19,7 @@ from .losses import (
     gbh_terms,
     pairwise_distances,
 )
-from .sampler import BatchSpec, PKSampler, pk_sample
+from .sampler import BatchSpec, PKSampler
 from .bayes_opt import (
     ExplorationRecord,
     GPState,
@@ -37,13 +36,12 @@ from .evaluation import QueryGallerySplit, RetrievalMetrics, evaluate, pca_reduc
 from .synthetic import LabeledDataset, SynthSpec, generate
 
 __all__ = [
-    "BatchSpec", "DegenerateBatchError", "ExplorationRecord",
-    "GPState", "HyperParams", "InvalidInputError", "LabeledDataset",
-    "LossBreakdown", "ModelConfig", "ModelParams", "OptimizerConfig",
-    "PKSampler", "PlaConfig", "QueryGallerySplit", "RetrievalMetrics",
-    "SynthSpec", "batch_hard_loss", "composite_loss", "composite_loss_grad",
-    "cross_entropy_loss", "drop_rate_objective", "estimate_bandwidth",
-    "embed", "evaluate", "expected_improvement", "fit_gp", "forward", "gbh_loss",
-    "gbh_terms", "generate", "kernel", "lr_schedule", "pairwise_distances",
-    "pca_reduce", "pk_sample", "propose", "run_fixed", "run_pla",
+    "BatchSpec", "DegenerateBatchError", "ExplorationRecord", "GPState",
+    "HyperParams", "InvalidInputError", "LabeledDataset", "LossBreakdown",
+    "ModelConfig", "ModelParams", "OptimizerConfig", "PKSampler", "PlaConfig",
+    "QueryGallerySplit", "RetrievalMetrics", "SynthSpec", "composite_loss",
+    "composite_loss_grad", "cross_entropy_loss", "drop_rate_objective",
+    "estimate_bandwidth", "embed", "evaluate", "expected_improvement", "fit_gp",
+    "forward", "gbh_loss", "gbh_terms", "generate", "kernel", "lr_schedule",
+    "pairwise_distances", "pca_reduce", "propose", "run_fixed", "run_pla",
 ]

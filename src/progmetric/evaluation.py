@@ -204,9 +204,9 @@ def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
     Queries are ranked in blocks (see BLOCK_BYTES) on float32 keys of their
     squared distances (see _stable_ranks).  The gallery's squared norms and
     a label index (a stable argsort of the gallery labels, and each query's
-    range in it) are built once per call.  With more than one block,
-    min(blocks, usable CPUs) threads rank the blocks, each under a copy of
-    the caller's context, so the caller's ``np.errstate`` holds in them.
+    range in it) are built once per call.  min(blocks, usable CPUs) worker
+    threads, at least one, rank the blocks, each under a copy of the
+    caller's context, so the caller's ``np.errstate`` holds in them.
     Results are combined in block order, so the metrics are bit-identical
     for any number of threads.  The first failing block's error is raised,
     after blocks not yet started are cancelled and every thread has finished.
@@ -240,26 +240,22 @@ def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
     keys = q_labels.astype(common, copy=False)
     lo = np.searchsorted(by_label, keys, side="left")
     hi = np.searchsorted(by_label, keys, side="right")
-    blocks = _query_blocks(len(q), n_gallery)
-    workers = min(len(blocks), _usable_cpus())
-    if workers > 1:
-        blocks = _query_blocks(len(q), n_gallery, workers)
+    # at least one, so zero query rows reach the no-match error below
+    workers = max(1, min(len(_query_blocks(len(q), n_gallery)), _usable_cpus()))
+    blocks = _query_blocks(len(q), n_gallery, workers)
     # one pair of block-sized arrays per worker, allocated here, once
     height = max((b.stop - b.start for b in blocks), default=0)
     free = [(np.empty((height, n_gallery)), np.empty((height, n_gallery)))
             for _ in range(workers)]
     jobs = [(q[b], q_labels[b], lo[b], hi[b], g, g_sq, g_labels, order, free)
             for b in blocks]
-    if workers <= 1:
-        results = [_rank_block(*job) for job in jobs]
-    else:
-        pool = ThreadPoolExecutor(workers)
-        try:
-            futures = [pool.submit(contextvars.copy_context().run, _rank_block, *job)
-                       for job in jobs]
-            results = [f.result() for f in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, _rank_block, *job)
+                   for job in jobs]
+        results = [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
     # per block, the first-hit ranks and APs of its queries with a match
     first_ranks = np.concatenate([np.zeros(0, np.intp)] + [r for r, _ in results])
     aps = np.concatenate([np.zeros(0)] + [a for _, a in results])

@@ -3,11 +3,12 @@
 All losses operate on a batch of embeddings (N x d) with integer identity
 labels.  Batches are expected to be identity-balanced (P identities, K
 samples each) so that every anchor has at least one positive and one
-negative; `batch_hard_loss` and the generalized variants raise
+negative; the batch-hard and generalized variants raise
 DegenerateBatchError otherwise.  The triplet losses also accept, in place of
 the labels, their `TripletLayout` (see `triplet_layout`), which a caller
 whose batches all share one label pattern builds once.  Each value function
-(`batch_hard_loss`, `gbh_loss`, ...) is the value part of its `*_grad` kernel.
+(`gbh_loss`, `composite_loss`, ...) is the value part of its `*_grad` kernel;
+the batch-hard value is `batch_hard_grad(...)[0]`.
 """
 
 from __future__ import annotations
@@ -327,16 +328,9 @@ def gbh_loss(embeddings, labels, w: HyperParams):
 
 
 def batch_hard_grad(embeddings, labels, margin):
-    """(value, embedding gradient) of the classic batch-hard hinge loss."""
+    """(value, embedding gradient) of the classic batch-hard hinge loss, the
+    sum over anchors of hinge(margin + farthest positive - nearest negative)."""
     return _triplet_grad(embeddings, labels, 1, 1, margin, "hinge")
-
-
-def batch_hard_loss(embeddings, labels, margin):
-    """Sum over anchors of hinge(margin + farthest positive - nearest negative).
-
-    labels is a label vector or its TripletLayout.
-    """
-    return batch_hard_grad(embeddings, labels, margin)[0]
 
 
 def composite_loss_grad(embeddings, logits, class_ids, w: HyperParams,

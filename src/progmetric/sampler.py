@@ -33,8 +33,9 @@ class BatchSpec:
 # per chunk, over all its pools, so their fixed cost is shared: at P 16, K 8,
 # on 64 or 512 identities, a batch costs 113-135 us drawn alone, 40-42 us in
 # chunks of 8 and 33-40 us in chunks of 16 to 256 (timeit, two-core x86-64,
-# numpy 2.4), against 147-151 us for a Generator.choice call per pool.
-CHUNK_BATCHES = 64
+# numpy 2.4), against 147-151 us for a Generator.choice call per pool.  16 is
+# the smallest of those, so a chunk's index and draw arrays stay small.
+CHUNK_BATCHES = 16
 
 
 class _Pools(NamedTuple):
@@ -83,8 +84,13 @@ def _draw(pools: _Pools, spec: BatchSpec, rng: np.random.Generator, n_batches):
     """n_batches batches of P*K sample indices, one row each.
 
     Each batch takes one `rng.choice(n_ids, P, replace=False)` call for its
-    identities and one `rng.integers` call for their pools' draws.  Floyd's
-    rule and the shuffle's swaps then run over the chunk's pools at once.
+    identities and one `rng.integers` call for their pools' draws.  A pool of
+    m < K samples draws K with replacement, as `rng.choice(pool, K)` does; a
+    larger one draws by Floyd's algorithm and then a Fisher-Yates shuffle of
+    its K picks, as `rng.choice(pool, K, replace=False)` does.  So a batch
+    equals per-pool choice calls, except where choice switches to a tail
+    shuffle (numpy 2.4: m above 10,000 and K above m // 50).  Floyd's rule
+    and the shuffle's swaps run over all the chunk's pools at once.
     """
     P, K = spec.P, spec.K
     chosen = np.empty((n_batches, P), dtype=np.int64)
@@ -108,21 +114,6 @@ def _draw(pools: _Pools, spec: BatchSpec, rng: np.random.Generator, n_batches):
     return pools.order[pools.starts[chosen, None] + picks].reshape(n_batches, -1)
 
 
-def pk_sample(labels, spec: BatchSpec, rng: np.random.Generator):
-    """Draw N = P*K sample indices: P identities, K samples each.
-
-    Identity choice is uniform without replacement, as
-    `rng.choice(n_ids, P, replace=False)`.  Within an identity of m samples,
-    K are drawn with replacement when m < K, as `rng.choice(pool, K)`.
-    Otherwise they are drawn without replacement, by Floyd's algorithm and
-    then a Fisher-Yates shuffle of its K picks on bounded integers from rng.
-    That is how `rng.choice(pool, K, replace=False)` draws, so the batch
-    equals per-pool choice calls, except where choice switches to a tail
-    shuffle (numpy 2.4: m above 10,000 and K above m // 50).
-    """
-    return _draw(_identity_pools(labels, spec), spec, rng, 1)[0]
-
-
 def batches_per_epoch(dataset_size, spec: BatchSpec):
     """Epoch granularity: ceil(dataset_size / (P*K)) batches."""
     return math.ceil(dataset_size / spec.batch_size)
@@ -133,8 +124,9 @@ class PKSampler:
 
     The identity pools and their draw bounds are built (and the identity
     count checked) once, at construction.  Batches are drawn CHUNK_BATCHES
-    at a time; each equals the next `pk_sample` on the sampler's generator,
-    which thus runs up to a chunk ahead of the batches handed out.
+    at a time (see _draw), so the sampler's generator runs up to a chunk
+    ahead of the batches handed out; the batches, and the generator's state
+    after each whole chunk, do not depend on the chunk size.
     """
 
     def __init__(self, labels, spec: BatchSpec, seed):

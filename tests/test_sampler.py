@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from progmetric import sampler as sampler_module
 from progmetric.sampler import (
     CHUNK_BATCHES,
     BatchSpec,
     InsufficientDataError,
     PKSampler,
     batches_per_epoch,
-    pk_sample,
 )
 
 
@@ -25,7 +25,7 @@ def shuffled_labels(seed):
 
 
 def loop_pk_sample(labels, spec, rng):
-    """Per-batch identity scan, the reference for pk_sample's RNG stream."""
+    """Per-batch identity scan, the reference for PKSampler's RNG stream."""
     chosen = rng.choice(np.unique(labels), size=spec.P, replace=False)
     out = np.empty(spec.batch_size, dtype=int)
     for i, ident in enumerate(chosen):
@@ -37,7 +37,7 @@ def loop_pk_sample(labels, spec, rng):
 
 def test_reference_batch_shape():
     labels = make_labels(32, 8)
-    idx = pk_sample(labels, BatchSpec(16, 8), np.random.default_rng(0))
+    idx = PKSampler(labels, BatchSpec(16, 8), seed=0).sample()
     assert len(idx) == 128
     picked = labels[idx]
     ids, counts = np.unique(picked, return_counts=True)
@@ -47,13 +47,13 @@ def test_reference_batch_shape():
 
 def test_all_identities_when_p_equals_total():
     labels = make_labels(4, 5)
-    idx = pk_sample(labels, BatchSpec(4, 2), np.random.default_rng(1))
+    idx = PKSampler(labels, BatchSpec(4, 2), seed=1).sample()
     assert set(labels[idx]) == {0, 1, 2, 3}
 
 
 def test_small_identity_forces_replacement():
     labels = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1])
-    idx = pk_sample(labels, BatchSpec(2, 8), np.random.default_rng(2))
+    idx = PKSampler(labels, BatchSpec(2, 8), seed=2).sample()
     zero_rows = idx[labels[idx] == 0]
     assert len(zero_rows) == 8
     assert set(zero_rows) <= {0, 1, 2}
@@ -61,8 +61,9 @@ def test_small_identity_forces_replacement():
 
 
 def test_too_few_identities():
-    with pytest.raises(InsufficientDataError):
-        pk_sample(make_labels(3, 4), BatchSpec(4, 2), np.random.default_rng(0))
+    with pytest.raises(InsufficientDataError,
+                       match="need at least P = 4 identities, dataset has 3"):
+        PKSampler(make_labels(3, 4), BatchSpec(4, 2), seed=0)
 
 
 def test_sampler_too_few_identities_raises_at_construction():
@@ -87,36 +88,61 @@ def random_dataset(rng):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_pk_sample_matches_reference_on_random_datasets(seed):
+def test_pk_sample_matches_reference_on_random_datasets(seed, monkeypatch):
+    monkeypatch.setattr(sampler_module, "CHUNK_BATCHES", 1)
     rng = np.random.default_rng(seed)
     labels, spec = random_dataset(rng)
     draw_seed = int(rng.integers(2**32))
-    rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+    sampler, ref_rng = PKSampler(labels, spec, draw_seed), np.random.default_rng(draw_seed)
     for _ in range(10):
-        assert np.array_equal(pk_sample(labels, spec, rng),
-                              loop_pk_sample(labels, spec, ref_rng))
-    # the caller's generator is left where per-pool choice calls leave it
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(sampler.sample(), loop_pk_sample(labels, spec, ref_rng))
+    # the generator is left where per-pool choice calls leave it
+    assert sampler.rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_pk_sample_matches_reference_draw_for_draw():
+def test_pk_sample_matches_reference_draw_for_draw(monkeypatch):
+    monkeypatch.setattr(sampler_module, "CHUNK_BATCHES", 1)
     labels = shuffled_labels(3)
     spec = BatchSpec(4, 4)
-    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    sampler, ref_rng = PKSampler(labels, spec, seed=8), np.random.default_rng(8)
     for _ in range(500):
-        assert np.array_equal(pk_sample(labels, spec, rng),
-                              loop_pk_sample(labels, spec, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(sampler.sample(), loop_pk_sample(labels, spec, ref_rng))
+    assert sampler.rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sampler_matches_pk_sample_draw_for_draw():
-    # 500 batches span eight chunks; the last one is left part drawn
+    # 500 batches span 32 chunks of 16; the last one is left part drawn
     labels = shuffled_labels(4)
     spec = BatchSpec(4, 4)
     sampler = PKSampler(labels, spec, seed=17)
     rng = np.random.default_rng(17)
     for _ in range(500):
-        assert np.array_equal(sampler.sample(), pk_sample(labels, spec, rng))
+        assert np.array_equal(sampler.sample(), loop_pk_sample(labels, spec, rng))
+
+
+def draw_in_chunks(labels, spec, chunk, n_batches, monkeypatch):
+    """n_batches batches from a PKSampler drawing chunk at a time, and its
+    generator state after each whole chunk, keyed by batches handed out."""
+    monkeypatch.setattr(sampler_module, "CHUNK_BATCHES", chunk)
+    sampler = PKSampler(labels, spec, seed=5)
+    batches, states = [], {}
+    for n in range(1, n_batches + 1):
+        batches.append(sampler.sample())
+        if n % chunk == 0:
+            states[n] = sampler.rng.bit_generator.state
+    return np.array(batches), states
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chunk_size_changes_no_batch_and_no_state_between_chunks(seed, monkeypatch):
+    labels, spec = random_dataset(np.random.default_rng(200 + seed))
+    n_batches = 3 * 64  # three chunks of the largest size
+    ref_batches, ref_states = draw_in_chunks(labels, spec, 1, n_batches, monkeypatch)
+    for chunk in (16, 64):
+        batches, states = draw_in_chunks(labels, spec, chunk, n_batches, monkeypatch)
+        assert np.array_equal(batches, ref_batches)
+        assert len(states) == n_batches // chunk
+        assert all(state == ref_states[n] for n, state in states.items())
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -153,7 +179,7 @@ def test_contract_on_random_datasets(seed, p, k):
     n_ids = p + int(rng.integers(0, 4))
     per_id = int(rng.integers(1, 10))
     labels = make_labels(n_ids, per_id)
-    idx = pk_sample(labels, BatchSpec(p, k), rng)
+    idx = PKSampler(labels, BatchSpec(p, k), seed=int(rng.integers(2**32))).sample()
     picked = labels[idx]
     ids, counts = np.unique(picked, return_counts=True)
     assert len(ids) == p

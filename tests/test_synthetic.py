@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from progmetric.losses import HyperParams, InvalidInputError, batch_hard_loss
-from progmetric.sampler import BatchSpec, pk_sample
+from progmetric.losses import HyperParams, InvalidInputError, batch_hard_grad
+from progmetric.sampler import BatchSpec, PKSampler
 from progmetric.synthetic import (
     SPLIT_TAGS,
     LabeledDataset,
@@ -51,10 +51,10 @@ def test_nearest_centroid_is_perfect_without_contamination():
 def test_clean_separable_data_keeps_batch_hard_at_zero():
     # separation far above 10x spread: every hinge stays inactive at m=0.2
     ds = generate(clean_spec(center_scale=1000.0, intra_spread=1.0, seed=3))
-    rng = np.random.default_rng(5)
+    sampler = PKSampler(ds.labels, BatchSpec(4, 3), seed=5)
     for _ in range(10):
-        idx = pk_sample(ds.labels, BatchSpec(4, 3), rng)
-        assert batch_hard_loss(ds.features[idx], ds.labels[idx], 0.2) == 0.0
+        idx = sampler.sample()
+        assert batch_hard_grad(ds.features[idx], ds.labels[idx], 0.2)[0] == 0.0
 
 
 def test_contamination_row_counts():
