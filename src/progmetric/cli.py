@@ -62,7 +62,7 @@ def cmd_gen_data(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     synthetic.save(dataset, out)
     print(f"wrote {len(dataset.labels)} samples "
-          f"({len(np.unique(dataset.labels))} identities) to {out}")
+          f"({spec.n_identities} identities) to {out}")
     return 0
 
 
@@ -194,7 +194,7 @@ def build_parser():
     p = sub.add_parser("eval", help="retrieval metrics for a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--target-dim", type=int, dest="target_dim")
+    p.add_argument("--target-dim", type=_int_at_least(1), dest="target_dim")
     p.add_argument("--out", help="metrics file path")
     p.set_defaults(func=cmd_eval)
 

@@ -41,7 +41,7 @@ CHUNK_BATCHES = 16
 class _Pools(NamedTuple):
     """Identity i's sample indices, ascending, are
     order[starts[i] : starts[i] + counts[i]]; bounds[i] holds the 2K - 1
-    inclusive bounds of its pool's draws in a batch (see _draw_bounds)."""
+    inclusive bounds of K picks from its pool (see _draw_bounds)."""
 
     order: np.ndarray
     starts: np.ndarray
@@ -63,34 +63,44 @@ def _draw_bounds(counts, K):
     return np.hstack([floyd, shuffle])
 
 
-def _identity_pools(labels, spec: BatchSpec):
+def _identity_pools(labels, K):
     """Each identity's sample indices in ascending order, identities sorted,
-    with their draw bounds.
-
-    Raises InsufficientDataError when there are fewer identities than P.
-    """
+    with the draw bounds of K picks from each pool."""
     _, inverse = np.unique(labels, return_inverse=True)
     counts = np.bincount(inverse)
-    if len(counts) < spec.P:
-        raise InsufficientDataError(
-            f"need at least P = {spec.P} identities, dataset has {len(counts)}"
-        )
     return _Pools(order=np.argsort(inverse, kind="stable"),
                   starts=np.cumsum(counts) - counts, counts=counts,
-                  bounds=_draw_bounds(counts, spec.K))
+                  bounds=_draw_bounds(counts, K))
+
+
+def _pick(counts, K, draws):
+    """K positions per row of draws (overwritten), drawn within _draw_bounds
+    from a pool of m = counts[row] samples: draw for draw, one
+    `rng.choice(m, K)` call per pool for m < K, and for m >= K one
+    `rng.choice(m, K, replace=False)` call (Floyd's algorithm, then a
+    Fisher-Yates shuffle of the K picks), except where choice switches to a
+    tail shuffle (numpy 2.4: m above 10,000 and K above m // 50).  Floyd's
+    rule and the shuffle's swaps run over all rows at once.
+    """
+    full = counts >= K  # pools drawn without replacement
+    picks = draws[:, :K]
+    for t in range(1, K):  # Floyd: v, unless already taken, else m - K + t
+        taken = (picks[:, :t] == picks[:, t, None]).any(axis=1) & full
+        picks[taken, t] = counts[taken] - K + t
+    rows = np.arange(len(picks))
+    for i in range(K - 1, 0, -1):  # the shuffle: swap i with a draw in [0, i]
+        j = np.where(full, draws[:, 2 * K - 1 - i], i)
+        held = picks[:, i].copy()
+        picks[:, i] = picks[rows, j]
+        picks[rows, j] = held
+    return picks
 
 
 def _draw(pools: _Pools, spec: BatchSpec, rng: np.random.Generator, n_batches):
-    """n_batches batches of P*K sample indices, one row each.
-
-    Each batch takes one `rng.choice(n_ids, P, replace=False)` call for its
-    identities and one `rng.integers` call for their pools' draws.  A pool of
-    m < K samples draws K with replacement, as `rng.choice(pool, K)` does; a
-    larger one draws by Floyd's algorithm and then a Fisher-Yates shuffle of
-    its K picks, as `rng.choice(pool, K, replace=False)` does.  So a batch
-    equals per-pool choice calls, except where choice switches to a tail
-    shuffle (numpy 2.4: m above 10,000 and K above m // 50).  Floyd's rule
-    and the shuffle's swaps run over all the chunk's pools at once.
+    """n_batches batches of P*K sample indices, one row each: a batch takes
+    one `rng.choice(n_ids, P, replace=False)` call for its identities and
+    one `rng.integers` call for their pools' draws, which _pick turns into
+    picks, so it equals per-pool choice calls under _pick's caveat.
     """
     P, K = spec.P, spec.K
     chosen = np.empty((n_batches, P), dtype=np.int64)
@@ -98,19 +108,8 @@ def _draw(pools: _Pools, spec: BatchSpec, rng: np.random.Generator, n_batches):
     for b in range(n_batches):
         chosen[b] = rng.choice(len(pools.counts), size=P, replace=False)
         draws[b] = rng.integers(0, pools.bounds[chosen[b]], endpoint=True)
-    chosen, draws = chosen.ravel(), draws.reshape(-1, 2 * K - 1)
-    m = pools.counts[chosen]
-    full = m >= K  # pools drawn without replacement
-    picks = draws[:, :K]
-    for t in range(1, K):  # Floyd: v, unless already taken, else m - K + t
-        taken = (picks[:, :t] == picks[:, t, None]).any(axis=1) & full
-        picks[taken, t] = m[taken] - K + t
-    rows = np.arange(len(picks))
-    for i in range(K - 1, 0, -1):  # the shuffle: swap i with a draw in [0, i]
-        j = np.where(full, draws[:, 2 * K - 1 - i], i)
-        held = picks[:, i].copy()
-        picks[:, i] = picks[rows, j]
-        picks[rows, j] = held
+    chosen = chosen.ravel()
+    picks = _pick(pools.counts[chosen], K, draws.reshape(-1, 2 * K - 1))
     return pools.order[pools.starts[chosen, None] + picks].reshape(n_batches, -1)
 
 
@@ -133,7 +132,10 @@ class PKSampler:
         self.labels = np.asarray(labels)
         self.spec = spec
         self.rng = np.random.default_rng(seed)
-        self._pools = _identity_pools(self.labels, spec)
+        self._pools = _identity_pools(self.labels, spec.K)
+        if len(self._pools.counts) < spec.P:
+            raise InsufficientDataError(f"need at least P = {spec.P} identities, "
+                                        f"dataset has {len(self._pools.counts)}")
         self._chunk = iter(())
 
     def sample(self):

@@ -583,6 +583,22 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_eval_target_dim_below_one_exits_1(tmp_path, capsys, dim):
+    # rejected while parsing, before the model loads and both sides are embedded
+    cfg = write_config(tmp_path)
+    ds = gen_dataset(tmp_path, cfg)
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--mode", "ce_only"]) == 0
+    out = tmp_path / "metrics.csv"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "out" / "checkpoint.bin"),
+                 "--dataset", str(ds), "--target-dim", dim, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument --target-dim: expected an integer >= 1, got '{dim}'\n")
+    assert not out.exists()
+
+
 def test_eval_nonfinite_weights_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path)
     ds = gen_dataset(tmp_path, cfg)

@@ -1,7 +1,8 @@
 """The two special functions the package computes without scipy: the
 logistic sigmoid `losses.expit` (the generalized triplet loss's gradient)
 and the standard normal CDF `bayes_opt._normal_cdf` (expected
-improvement), each checked against scipy on over 10^6 values."""
+improvement), each checked against scipy on over 10^6 values; and the
+modules the package leaves unimported (scipy, numpy.ma)."""
 
 import os
 import subprocess
@@ -96,3 +97,41 @@ def test_package_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+NO_MA_SCRIPT = """
+import json, sys
+import numpy as np
+from progmetric import cli, embed, run_fixed
+from progmetric.evaluation import evaluate
+from progmetric.losses import HyperParams
+from progmetric.model import ModelConfig, OptimizerConfig
+from progmetric.sampler import BatchSpec
+from progmetric.synthetic import SynthSpec, generate, query_gallery, split
+
+ds = split(generate(SynthSpec(8, 6, 4)), 2, np.random.default_rng(1))
+result = run_fixed(ds.features, ds.labels, "batch_hard", HyperParams(1.0, 0.2, 1, 1), 1,
+                   ModelConfig(d_in=4, hidden=8, embed_dim=4, n_classes=8),
+                   OptimizerConfig(), BatchSpec(4, 2), 0)
+qg = query_gallery(ds)
+qg.query_embeddings = embed(result.best_params, qg.query_embeddings)
+qg.gallery_embeddings = embed(result.best_params, qg.gallery_embeddings)
+evaluate(qg)
+cfg, out = sys.argv[1:]
+with open(cfg, "w") as fh:
+    json.dump({"data": {"n_identities": 8, "samples_per_identity": 6, "dim": 4},
+               "split": {"query_per_identity": 2}}, fh)
+assert cli.main(["gen-data", "--config", cfg, "--dataset", out]) == 0
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_set_up_training_and_retrieval_import_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.3 MB of pla_desk's peak memory; only a plain
+    # np.unique (its hash path) imports it
+    src = os.path.dirname(os.path.dirname(progmetric.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", NO_MA_SCRIPT, str(tmp_path / "cfg.json"),
+                          str(tmp_path / "ds.csv")], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[]"

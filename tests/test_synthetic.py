@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,20 @@ def test_split_infeasible_query_count():
         split(ds, 4, np.random.default_rng(0))
 
 
+def test_split_query_count_past_the_row_count():
+    # raises before a pool's 2q - 1 draw bounds are built
+    ds = generate(clean_spec(samples_per_identity=4))
+    with pytest.raises(InvalidInputError, match="^query_per_identity must be smaller"):
+        split(ds, 10**12, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("q", [0, -1])
+def test_split_rejects_query_count_below_one(q):
+    ds = generate(clean_spec())
+    with pytest.raises(InvalidInputError, match=f"^query_per_identity must be >= 1, got {q}$"):
+        split(ds, q, np.random.default_rng(0))
+
+
 def loop_split(dataset, query_per_identity, rng, open_set=False,
                test_fraction=0.5):
     """Per-identity scan (two `labels == i` passes an identity), the
@@ -165,26 +181,33 @@ def loop_split(dataset, query_per_identity, rng, open_set=False,
     return list(tags)
 
 
-def shuffled_dataset(n_ids, seed, strings):
-    """Identities of 3-8 rows each, in shuffled row order, labelled by
-    sparse ints or by strings (whose sorted order differs)."""
+def shuffled_dataset(n_ids, seed, strings, q=2):
+    """Identities of q+1 to 12 rows each, every fifth of exactly q+1, in
+    shuffled row order, labelled by sparse ints or by strings (whose sorted
+    order differs)."""
     rng = np.random.default_rng(seed)
-    labels = rng.permutation(np.repeat(np.arange(n_ids) * 7 + 3,
-                                       rng.integers(3, 9, size=n_ids)))
+    counts = rng.integers(q + 1, 13, size=n_ids)
+    counts[::5] = q + 1
+    labels = rng.permutation(np.repeat(np.arange(n_ids) * 7 + 3, counts))
     if strings:
         labels = np.array([f"id{v}" for v in labels])
     return LabeledDataset(features=np.zeros((len(labels), 1)), labels=labels,
                           split_tags=["train"] * len(labels))
 
 
-@pytest.mark.parametrize("strings", [False, True], ids=["int", "str"])
-@pytest.mark.parametrize("open_set", [False, True], ids=["closed", "open"])
-@pytest.mark.parametrize("n_ids", [33, 64, 512])
-def test_split_matches_per_identity_reference(n_ids, open_set, strings):
-    ds = shuffled_dataset(n_ids, n_ids, strings)
-    rng, ref_rng = np.random.default_rng(n_ids + 1), np.random.default_rng(n_ids + 1)
-    out = split(ds, 2, rng, open_set=open_set)
-    assert out.split_tags == loop_split(ds, 2, ref_rng, open_set=open_set)
+# the q = 2 cases keep the ids they had before q was a parameter
+@pytest.mark.parametrize("q, n_ids, open_set, strings", [
+    pytest.param(q, n_ids, open_set, strings, id=f"{n_ids}-{'open' if open_set else 'closed'}-"
+                 f"{'str' if strings else 'int'}" + ("" if q == 2 else f"-q{q}"))
+    for q, n_ids, open_set, strings in itertools.product(
+        [2, 1, 5], [33, 64, 512], [False, True], [False, True])])
+def test_split_matches_per_identity_reference(q, n_ids, open_set, strings):
+    # q = 1 is one Floyd draw and no shuffle; q = 5 on pools of 6 rows takes
+    # Floyd's collision branch often
+    ds = shuffled_dataset(n_ids, n_ids, strings, q)
+    rng, ref_rng = np.random.default_rng(n_ids + q), np.random.default_rng(n_ids + q)
+    out = split(ds, q, rng, open_set=open_set)
+    assert out.split_tags == loop_split(ds, q, ref_rng, open_set=open_set)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
