@@ -99,6 +99,9 @@ def cmd_train(args):
 def cmd_eval(args):
     params = load_model(args.checkpoint)
     dataset = synthetic.load(args.dataset)
+    if dataset.features.shape[1] != params.config.d_in:
+        raise ValueError(f"{args.dataset} has {dataset.features.shape[1]} features a row, "
+                         f"but the model {args.checkpoint} reads {params.config.d_in}")
     qg = synthetic.query_gallery(dataset)
     q_emb = embed(params, qg.query_embeddings)
     g_emb = embed(params, qg.gallery_embeddings)

@@ -55,11 +55,6 @@ def _root(d2):
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def _cross_distances(a, b):
-    """Euclidean distances between the rows of a and b."""
-    return _root(_squared_distances(a, b))
-
-
 def _reach(v):
     """The least float64 x with _root(x) >= v, for each v >= 0; -inf at 0."""
     with np.errstate(over="ignore", under="ignore"):

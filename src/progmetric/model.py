@@ -3,13 +3,14 @@
 A shared linear trunk with a rectifier feeds two linear heads; their
 outputs concatenate into the embedding.  The classifier reads only the
 second (softmax) head.  Everything is plain numpy so gradients can be
-checked against finite differences.
+checked against finite differences.  `ModelConfig.shapes()` defines the
+parameter layout; a `ModelParams` is a config plus one flat vector in it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,86 +43,59 @@ class ModelConfig:
         if self.embed_dim % 2 != 0:
             raise InvalidInputError("embed_dim must be even (two concatenated heads)")
 
+    def shapes(self):
+        """Each PARAM_FIELDS entry's shape, in order: the one definition of
+        the flat parameter vector's layout, and so of the model file's."""
+        half = self.embed_dim // 2
+        return ((self.d_in, self.hidden), (self.hidden,),
+                (self.hidden, half), (half,),
+                (self.hidden, half), (half,),
+                (half, self.n_classes), (self.n_classes,))
+
     @property
     def n_params(self):
-        """Entries of the flat parameter vector: trunk, both heads, classifier."""
-        half = self.embed_dim // 2
-        return ((self.d_in + 1) * self.hidden + 2 * (self.hidden + 1) * half
-                + (half + 1) * self.n_classes)
+        """Entries of the flat parameter vector."""
+        return sum(math.prod(shape) for shape in self.shapes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """The model's weights, packed into one contiguous float64 vector.
+    """A model's config plus its weights in one contiguous float64 vector.
 
-    `flat` holds every field's entries, row-major, in PARAM_FIELDS order;
-    the named fields are reshaped views into it, so an in-place write
-    through either shows in the other.  The constructor packs (copies) the
-    arrays it is given.  Fields cannot be rebound, which would detach them
-    from `flat`.  Gradients use the same layout, Adam moments a prefix of it.
+    `flat` holds every field of `config.shapes()`, row-major, in
+    PARAM_FIELDS order.  The named fields (`w_trunk`, ..., `b_cls`) are
+    reshaped views into `flat`, not copies, so an in-place write through
+    either shows in the other; they cannot be rebound, which would detach
+    them from `flat`.  Gradients use the same layout, Adam moments a prefix
+    of it.
     """
 
-    w_trunk: np.ndarray
-    b_trunk: np.ndarray
-    w_trip: np.ndarray
-    b_trip: np.ndarray
-    w_soft: np.ndarray
-    b_soft: np.ndarray
-    w_cls: np.ndarray
-    b_cls: np.ndarray
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-    # (field name, slice of flat, shape) per field, in PARAM_FIELDS order
-    _layout: tuple = field(init=False, repr=False, compare=False)
+    config: ModelConfig
+    flat: np.ndarray
 
     def __post_init__(self):
-        arrays = [np.asarray(a, dtype=float) for a in self.arrays()]
-        layout, start = [], 0
-        for name, a in zip(PARAM_FIELDS, arrays):
-            layout.append((name, slice(start, start + a.size), a.shape))
-            start += a.size
-        self._bind(np.concatenate([a.ravel() for a in arrays]), tuple(layout))
-
-    def _bind(self, flat, layout):
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "_layout", layout)
-        for name, part, shape in layout:
-            object.__setattr__(self, name, flat[part].reshape(shape))
+        if self.flat.shape != (self.config.n_params,):
+            raise InvalidInputError(f"expected a flat vector of shape ({self.config.n_params},), "
+                                    f"got {self.flat.shape}")
+        start = 0
+        for name, shape in zip(PARAM_FIELDS, self.config.shapes()):
+            size = math.prod(shape)
+            object.__setattr__(self, name, self.flat[start:start + size].reshape(shape))
+            start += size
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator):
-        half = cfg.embed_dim // 2
-
-        def dense(n_in, n_out):
-            return rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
-
-        return cls(
-            w_trunk=dense(cfg.d_in, cfg.hidden),
-            b_trunk=np.zeros(cfg.hidden),
-            w_trip=dense(cfg.hidden, half),
-            b_trip=np.zeros(half),
-            w_soft=dense(cfg.hidden, half),
-            b_soft=np.zeros(half),
-            w_cls=dense(half, cfg.n_classes),
-            b_cls=np.zeros(cfg.n_classes),
-        )
-
-    @property
-    def config(self):
-        return ModelConfig(
-            d_in=self.w_trunk.shape[0],
-            hidden=self.w_trunk.shape[1],
-            embed_dim=2 * self.w_trip.shape[1],
-            n_classes=self.w_cls.shape[1],
-        )
+        """He-normal weights, drawn in PARAM_FIELDS order, and zero biases."""
+        parts = [rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape) if len(shape) == 2
+                 else np.zeros(shape) for shape in cfg.shapes()]
+        return cls(cfg, np.concatenate([a.ravel() for a in parts]))
 
     def arrays(self):
         return [getattr(self, name) for name in PARAM_FIELDS]
 
     def like(self, flat):
-        """Params of this layout whose fields view `flat` (not copied)."""
-        out = object.__new__(ModelParams)
-        out._bind(flat, self._layout)
-        return out
+        """Params of this config whose fields view `flat` (not copied)."""
+        return ModelParams(self.config, flat)
 
     def copy(self):
         return self.like(self.flat.copy())

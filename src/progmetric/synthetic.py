@@ -192,7 +192,7 @@ def load(path) -> LabeledDataset:
                 f"{path}:{lineno}: expected {dim + 2} columns, found {len(parts)}")
         try:
             labels.append(int(parts[0]))
-            if parts[1] not in SPLIT_TAGS:
+            if not -2**63 <= labels[-1] < 2**63 or parts[1] not in SPLIT_TAGS:
                 raise ValueError
             tags.append(parts[1])
             rows.append([float(v) for v in parts[2:]])

@@ -128,7 +128,7 @@ def load_model(path):
         if remaining > 8 * cfg.n_params:
             raise ValueError(f"{path}: trailing bytes after model weights")
         flat = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-    return ModelParams.init(cfg, np.random.default_rng(0)).like(flat)
+    return ModelParams(cfg, flat)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from progmetric import cli
 from progmetric.bayes_opt import NumericalError
 from progmetric.cli import main
 from progmetric.config import config_from_dict, load_config, ConfigError
-from progmetric.model import ModelConfig, NonFiniteGradientError
+from progmetric.model import ModelConfig, ModelParams, NonFiniteGradientError
 from progmetric.trainer import MODEL_MAGIC, load_model, save_model
 
 
@@ -641,6 +641,39 @@ def test_eval_old_checkpoint_format_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: old checkpoint format")
     assert "weights plus Adam moments" in err
+
+
+def write_model(path, d_in):
+    cfg = ModelConfig(d_in=d_in, hidden=8, embed_dim=8, n_classes=8)
+    save_model(path, ModelParams.init(cfg, np.random.default_rng(0)))
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("label", ["99999999999999999999999", "-99999999999999999999999"])
+def test_label_outside_int64_exits_1_naming_its_line(tmp_path, capsys, command, label):
+    cfg = write_config(tmp_path)
+    ds = gen_dataset(tmp_path, cfg)
+    lines = ds.read_text().splitlines()
+    lines[3] = label + lines[3][lines[3].index(","):]
+    ds.write_text("\n".join(lines) + "\n")
+    argv = {"train": ["train", "--config", str(cfg)],
+            "eval": ["eval", "--checkpoint", str(write_model(tmp_path / "m.bin", 6))]}
+    capsys.readouterr()
+    assert main([*argv[command], "--dataset", str(ds)]) == 1
+    assert capsys.readouterr().err == f"error: {ds}:4: malformed row\n"
+
+
+def test_eval_width_mismatch_names_both_files(tmp_path, capsys):
+    ds = gen_dataset(tmp_path, write_config(tmp_path))
+    model = write_model(tmp_path / "narrow.bin", 4)
+    out = tmp_path / "metrics.csv"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(model), "--dataset", str(ds),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ds} has 6 features a row, but the model {model} reads 4\n")
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- tune-demo

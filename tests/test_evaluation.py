@@ -54,7 +54,7 @@ def loop_evaluate(split):
     g = np.asarray(split.gallery_embeddings, dtype=float)
     q_labels = np.asarray(split.query_labels)
     g_labels = np.asarray(split.gallery_labels)
-    dist = evaluation._cross_distances(q, g)
+    dist = evaluation._root(evaluation._squared_distances(q, g))
     order = np.argsort(dist, axis=1, kind="stable")
     n_gallery = g.shape[0]
     cmc_sum = np.zeros(n_gallery)

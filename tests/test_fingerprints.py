@@ -10,9 +10,16 @@ fingerprint in its own diff.  Under another numpy, BLAS, C library or
 Python the test fails and names the difference, since other kernels may
 round differently.
 
-Regenerate with ``python tests/test_fingerprints.py`` (prints the JSON).
+OpenBLAS picks its kernel when it loads, by CPU or by `OPENBLAS_CORETYPE`,
+whatever the build string says.  `blas_kernels` lists the kernels under
+which every fingerprint was checked equal; under any other the test fails
+and names the kernel it ran on.
+
+Regenerate with ``python tests/test_fingerprints.py`` (prints the JSON;
+it lists only the kernel it ran on, so add each other kernel checked).
 """
 
+import ctypes
 import hashlib
 import json
 import pathlib
@@ -46,6 +53,18 @@ def environment():
             "blas": blas.get("openblas configuration", blas.get("name")),
             "libc": " ".join(platform.libc_ver()),
             "python": platform.python_version()}
+
+
+def blas_kernel():
+    """The kernel numpy's bundled OpenBLAS runs on, or, where that library
+    has no corename symbol, the BLAS build string."""
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return environment()["blas"]
 
 
 def retrieval_split(name):
@@ -121,6 +140,7 @@ FIXED_CASES = {f"{mode}-{seed}-{w}": (mode, seed, w) for mode in FIXED_MODES
 
 def fingerprints():
     return {"environment": environment(),
+            "blas_kernels": [blas_kernel()],
             "run_fixed": {case: fixed_fingerprint(*args)
                           for case, args in FIXED_CASES.items()},
             "run_pla": pla_fingerprint(),
@@ -136,6 +156,10 @@ def pinned():
     diff = {k: (want["environment"].get(k), v) for k, v in got.items()
             if want["environment"].get(k) != v}
     assert not diff, f"fingerprints were pinned under another environment: {diff}"
+    kernel = blas_kernel()
+    assert kernel in want["blas_kernels"], (
+        f"OpenBLAS runs the {kernel} kernel; the fingerprints were checked "
+        f"under {', '.join(want['blas_kernels'])} only")
     return want
 
 

@@ -402,13 +402,26 @@ def test_params_copy_shares_no_memory():
     assert np.array_equal(dup.flat, params.flat)
 
 
-def test_params_constructor_packs_given_arrays():
-    src = tiny_model(16)
-    arrays = {name: getattr(src, name).copy() for name in PARAM_FIELDS}
-    packed = ModelParams(**arrays)
-    assert np.array_equal(packed.flat, src.flat)
-    arrays["w_trunk"][0, 0] += 1.0
-    assert packed.w_trunk[0, 0] == src.w_trunk[0, 0]
+def test_params_view_the_flat_they_are_given():
+    flat = np.arange(TINY.n_params, dtype=float)
+    params = ModelParams(TINY, flat)
+    assert params.flat is flat and params.config == TINY
+    assert all(np.shares_memory(a, flat) for a in params.arrays())
+    flat[-1] = -1.0
+    assert params.b_cls[-1] == -1.0
+    for n in (TINY.n_params - 1, TINY.n_params + 1):
+        with pytest.raises(InvalidInputError, match=f"shape \\({TINY.n_params},\\)"):
+            ModelParams(TINY, np.zeros(n))
+
+
+def test_init_draws_he_normal_weights_in_field_order():
+    # TINY's shapes written out by hand: w_trunk, w_trip, w_soft, w_cls
+    rng = np.random.default_rng(16)
+    weights = [rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
+               for n_in, n_out in ((3, 5), (5, 2), (5, 2), (2, 3))]
+    params = tiny_model(16)
+    assert all_equal([params.w_trunk, params.w_trip, params.w_soft, params.w_cls], weights)
+    assert not any(b.any() for b in (params.b_trunk, params.b_trip, params.b_soft, params.b_cls))
 
 
 # ------------------------------------- per-array references of the flat paths

@@ -282,6 +282,16 @@ def test_load_malformed_value_names_line(tmp_path):
         load(path)
 
 
+def test_load_reads_ids_across_int64_and_no_further(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text(f"id,split,f0\n{2**63 - 1},train,0.5\n{-2**63},train,0.5\n")
+    assert load(path).labels.tolist() == [2**63 - 1, -2**63]
+    for label in (2**63, -2**63 - 1):
+        path.write_text(f"id,split,f0\n1,train,0.5\n{label},train,0.5\n")
+        with pytest.raises(ParseError, match=r"ids\.csv:3: malformed row"):
+            load(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
 def test_load_nonfinite_value_names_line(tmp_path, value):
     path = tmp_path / "val.csv"

@@ -392,6 +392,20 @@ def test_hand_built_checkpoint_loads(tmp_path):
         assert np.array_equal(getattr(back, name), arrays[name])
 
 
+def test_load_model_draws_no_random_numbers(tmp_path, monkeypatch):
+    run = make_run(12)
+    path = tmp_path / "model.bin"
+    save_model(path, run.params)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_model drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    back = load_model(path)
+    assert back.config == run.model_cfg
+    assert back.flat.tobytes() == run.params.flat.tobytes()
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
