@@ -18,10 +18,11 @@ import numpy as np
 
 from . import synthetic
 from .bayes_opt import NumericalError
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .evaluation import evaluate, metrics_csv_lines, pca_apply, pca_reduce
-from .losses import HyperParams
+from .losses import HyperParams, InvalidInputError
 from .model import NonFiniteGradientError, embed
+from .sampler import InsufficientDataError
 from .trainer import (
     TRAIN_MODES,
     RunReport,
@@ -76,12 +77,15 @@ def cmd_train(args):
     model_cfg = dataclasses.replace(cfg.model, d_in=features.shape[1])
     out = Path(cfg.out_dir)
     budget = next(n for n in (args.epochs, cfg.epochs, cfg.pla.max_epochs) if n is not None)
-    if args.mode == "pla":
-        result = run_pla(features, labels, cfg.pla, model_cfg, cfg.optimizer,
-                         cfg.seed)
-    else:
-        result = run_fixed(features, labels, args.mode, cfg.fixed_w, budget,
-                           model_cfg, cfg.optimizer, cfg.batch, cfg.seed)
+    try:
+        if args.mode == "pla":
+            result = run_pla(features, labels, cfg.pla, model_cfg, cfg.optimizer,
+                             cfg.seed)
+        else:
+            result = run_fixed(features, labels, args.mode, cfg.fixed_w, budget,
+                               model_cfg, cfg.optimizer, cfg.batch, cfg.seed)
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"{args.dataset}: {exc}") from exc
     report = result.report
     _write_lines(out / "report.csv", report.epoch_csv_lines())
     if args.mode == "pla":
@@ -102,16 +106,19 @@ def cmd_eval(args):
     if dataset.features.shape[1] != params.config.d_in:
         raise ValueError(f"{args.dataset} has {dataset.features.shape[1]} features a row, "
                          f"but the model {args.checkpoint} reads {params.config.d_in}")
-    qg = synthetic.query_gallery(dataset)
-    q_emb = embed(params, qg.query_embeddings)
-    g_emb = embed(params, qg.gallery_embeddings)
-    if args.target_dim is not None:
-        pca = pca_reduce(np.vstack([g_emb, q_emb]), args.target_dim)
-        q_emb = pca_apply(pca, q_emb)
-        g_emb = pca_apply(pca, g_emb)
-    qg.query_embeddings = q_emb
-    qg.gallery_embeddings = g_emb
-    metrics = evaluate(qg)
+    try:
+        qg = synthetic.query_gallery(dataset)
+        q_emb = embed(params, qg.query_embeddings)
+        g_emb = embed(params, qg.gallery_embeddings)
+        if args.target_dim is not None:
+            pca = pca_reduce(np.vstack([g_emb, q_emb]), args.target_dim)
+            q_emb = pca_apply(pca, q_emb)
+            g_emb = pca_apply(pca, g_emb)
+        qg.query_embeddings = q_emb
+        qg.gallery_embeddings = g_emb
+        metrics = evaluate(qg)
+    except (InvalidInputError, np.linalg.LinAlgError) as exc:  # eigh fails on non-finite
+        raise InvalidInputError(f"{args.dataset} with model {args.checkpoint}: {exc}") from exc
     out = Path(args.out or "metrics.csv")
     _write_lines(out, metrics_csv_lines(metrics))
     print(f"rank1={metrics.rank1:.4f} map={metrics.map:.4f} "
@@ -222,7 +229,7 @@ def main(argv=None):
         # overflow shows as the typed error it leads to, not as a warning line
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, NonFiniteGradientError) as exc:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .losses import HyperParams
@@ -49,16 +50,13 @@ class RunConfig:
         lam=1.0, margin=0.2, k=1, p=1))
     epochs: int | None = None  # budget for fixed modes; defaults to pla.max_epochs
 
-
-_SECTION_TYPES = {
-    "data": SynthSpec,
-    "split": SplitConfig,
-    "batch": BatchSpec,
-    "model": ModelConfig,
-    "optimizer": OptimizerConfig,
-    "pla": PlaConfig,
-    "fixed_w": HyperParams,
-}
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed: expected an integer >= 0, got {self.seed!r}")
+        if self.epochs is not None and (type(self.epochs) is not int or self.epochs < 1):
+            raise ValueError(f"epochs: expected null or an integer >= 1, got {self.epochs!r}")
+        self.pla = dataclasses.replace(self.pla, batch_spec=self.batch)
+        self.model = dataclasses.replace(self.model, d_in=self.data.dim)
 
 
 # section fields a run always sets from elsewhere, so a config value is rejected
@@ -70,56 +68,42 @@ _SET_ELSEWHERE = {PlaConfig: {"batch_spec": "the top-level batch section"},
 
 # the JSON types a value may have for each declared scalar field type; a
 # bool is no number here, though Python counts it as an int
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
-def _check_type(field_type, value, path):
-    allowed = _JSON_TYPES.get(field_type)
-    if allowed is not None and type(value) not in allowed:
-        raise ConfigError(f"{path}: expected {field_type}, got {value!r}")
-
-
-def _build(cls, data, path):
+def _build(cls, data, path=None):
+    """cls from a JSON object: unknown keys and JSON types are checked per
+    field, dataclass-typed fields are built recursively, then cls's own
+    __post_init__ checks the values.  path is the key path of data, None at
+    the top level."""
+    where = path or "top level"
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object")
+        raise ConfigError(f"{where}: expected an object")
     derived = _SET_ELSEWHERE.get(cls, {})
-    field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+    field_types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
     allowed = field_types.keys() - derived.keys()
     unknown = sorted(set(data) - allowed)
     if unknown:
         notes = "".join(f"; {path}.{k} comes from {derived[k]}" for k in unknown if k in derived)
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}{notes}")
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}{notes}")
+    kwargs = {}
     for key, value in data.items():
-        _check_type(field_types[key], value, f"{path}.{key}")
+        field_type = field_types[key]
+        key_path = f"{path}.{key}" if path else key
+        if dataclasses.is_dataclass(field_type):
+            value = _build(field_type, value, key_path)
+        elif field_type in _JSON_TYPES and type(value) not in _JSON_TYPES[field_type]:
+            raise ConfigError(f"{key_path}: expected {field_type.__name__}, got {value!r}")
+        kwargs[key] = value
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def config_from_dict(raw) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected an object")
-    field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(raw) - field_types.keys())
-    if unknown:
-        raise ConfigError(f"top level: unknown keys {unknown}; allowed: {sorted(field_types)}")
-    epochs = raw.get("epochs")
-    if epochs is not None and (type(epochs) is not int or epochs < 1):
-        raise ConfigError(f"epochs: expected null or an integer >= 1, got {epochs!r}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build(_SECTION_TYPES[key], value, key)
-        else:
-            _check_type(field_types[key], value, key)
-            kwargs[key] = value
-    cfg = RunConfig(**kwargs)
-    if cfg.seed < 0:
-        raise ConfigError(f"seed: expected an integer >= 0, got {cfg.seed!r}")
-    cfg.pla = dataclasses.replace(cfg.pla, batch_spec=cfg.batch)
-    cfg.model = dataclasses.replace(cfg.model, d_in=cfg.data.dim)
-    return cfg
+    return _build(RunConfig, raw)
 
 
 def load_config(path) -> RunConfig:

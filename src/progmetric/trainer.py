@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -95,12 +95,11 @@ class Checkpoint:
 
 
 def save_model(path, params: ModelParams):
-    """Flat binary layout: magic, the four <q dimensions, then the weights'
-    flat vector as <f8 (each field row-major, in PARAM_FIELDS order)."""
-    cfg = params.config
+    """Flat binary layout: magic, ModelConfig's fields as <q in declared
+    order, then the flat weights as <f8 (row-major, in PARAM_FIELDS order)."""
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<4q", cfg.d_in, cfg.hidden, cfg.embed_dim, cfg.n_classes))
+        fh.write(struct.pack("<4q", *astuple(params.config)))
         fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
@@ -117,11 +116,11 @@ def load_model(path):
         header = fh.read(32)
         if len(header) != 32:
             raise ValueError(f"{path}: truncated model header")
-        d_in, hidden, embed_dim, n_classes = struct.unpack("<4q", header)
-        if min(d_in, hidden, embed_dim, n_classes) < 1:
-            raise ValueError(f"{path}: model header needs dimensions >= 1")
-        cfg = ModelConfig(d_in=d_in, hidden=hidden, embed_dim=embed_dim,
-                          n_classes=n_classes)
+        try:
+            cfg = ModelConfig(*struct.unpack("<4q", header))
+        except InvalidInputError as exc:
+            raise ValueError(f"{path}: model header needs dimensions >= 1 "
+                             f"and an even embed_dim: {exc}") from exc
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         if remaining < 8 * cfg.n_params:
             raise ValueError(f"{path}: truncated model file")

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from progmetric import cli
+from progmetric import cli, synthetic
 from progmetric.bayes_opt import NumericalError
 from progmetric.cli import main
-from progmetric.config import config_from_dict, load_config, ConfigError
+from progmetric.config import RunConfig, config_from_dict, load_config, ConfigError
 from progmetric.model import ModelConfig, ModelParams, NonFiniteGradientError
+from progmetric.sampler import BatchSpec
+from progmetric.synthetic import SynthSpec
 from progmetric.trainer import MODEL_MAGIC, load_model, save_model
 
 
@@ -94,6 +97,33 @@ def test_config_syncs_model_input_dim():
                                      "samples_per_identity": 4, "dim": 11}})
     assert cfg.model.d_in == 11
     assert cfg.pla.batch_spec == cfg.batch
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"seed": -1}, "seed: expected an integer >= 0, got -1"),
+    ({"epochs": 0}, "epochs: expected null or an integer >= 1, got 0"),
+    ({"epochs": True}, "epochs: expected null or an integer >= 1, got True"),
+], ids=["negative_seed", "zero_epochs", "bool_epochs"])
+def test_run_config_built_in_code_is_validated(over, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(**over)
+
+
+def test_run_config_built_in_code_syncs_derived_fields():
+    assert RunConfig(batch=BatchSpec(4, 2)).pla.batch_spec == BatchSpec(4, 2)
+    assert RunConfig(data=SynthSpec(4, 4, 11)).model.d_in == 11
+
+
+def test_readme_config_block_loads():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"^```json\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    raw = json.loads(blocks[0])
+    cfg = config_from_dict(raw)
+    for key, value in raw.items():
+        got = getattr(cfg, key)
+        assert ({k: getattr(got, k) for k in value} if isinstance(value, dict)
+                else got) == value, key
 
 
 def test_load_config_missing_file(tmp_path):
@@ -612,13 +642,15 @@ def test_eval_nonfinite_weights_exits_1(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(ckpt_path),
                  "--dataset", str(ds)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: query embedding row 0 is not finite")
+    assert err.startswith(f"error: {ds} with model {ckpt_path}: "
+                          "query embedding row 0 is not finite")
 
 
 @pytest.mark.parametrize("header", [
     struct.pack("<3q", 6, 8, 8),            # file ends inside the header
     struct.pack("<4q", 0, 8, 8, 4),         # zero input dimension
-], ids=["cut_header", "zero_d_in"])
+    struct.pack("<4q", 6, 8, 3, 4),         # odd embedding width
+], ids=["cut_header", "zero_d_in", "odd_embed_dim"])
 def test_eval_malformed_checkpoint_header_exits_1(tmp_path, capsys, header):
     ds = gen_dataset(tmp_path, write_config(tmp_path))
     path = tmp_path / "bad.bin"
@@ -674,6 +706,186 @@ def test_eval_width_mismatch_names_both_files(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {ds} has 6 features a row, but the model {model} reads 4\n")
     assert not out.exists()
+
+
+def rewrite_rows(path, edit):
+    """Rewrite a dataset file's data rows: row i, split into its fields,
+    becomes edit(i, fields)."""
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [",".join(edit(i, row.split(",")))
+                                          for i, row in enumerate(rows)]) + "\n")
+
+
+def test_train_on_one_identity_names_the_dataset(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    ds = gen_dataset(tmp_path, cfg)
+    rewrite_rows(ds, lambda i, f: ["5", *f[1:]])
+    for mode in ("batch_hard", "pla"):
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                     "--mode", mode]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ds}: need at least P = 4 identities, dataset has 1\n")
+    assert not (tmp_path / "out").exists()
+
+
+DATA_CONTENT_FAULTS = {
+    "no_split_tags": (lambda i, f: [f[0], "train", *f[2:]],
+                      "dataset has no query/gallery tags; split it first"),
+    "no_gallery_match": (lambda i, f: [str(1000 + int(f[0])) if f[1] == "query" else f[0],
+                                       *f[1:]],
+                         "no query has a gallery match"),
+    "distance_overflow": (lambda i, f: [*f[:2], "1e308", *f[3:]] if i == 0 else f,
+                          "query/gallery distances overflow float64"),
+}
+
+
+@pytest.mark.parametrize("edit, message", DATA_CONTENT_FAULTS.values(),
+                         ids=DATA_CONTENT_FAULTS.keys())
+def test_eval_data_content_fault_names_both_files(tmp_path, capsys, edit, message):
+    ds = gen_dataset(tmp_path, write_config(tmp_path))
+    rewrite_rows(ds, edit)
+    model = write_model(tmp_path / "m.bin", 6)
+    out = tmp_path / "metrics.csv"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(model), "--dataset", str(ds),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {ds} with model {model}: {message}\n"
+    assert not out.exists()
+
+
+# -------------------------------------------- file-input property (fuzzed)
+
+@functools.cache
+def valid_files():
+    """(dataset, model) file bytes: the tiny config's dataset and a model
+    trained on it for one epoch."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        cfg = write_config(tmp)
+        ds = tmp / "ds.csv"
+        for argv in (["gen-data", "--config", str(cfg), "--dataset", str(ds)],
+                     ["train", "--config", str(cfg), "--dataset", str(ds),
+                      "--mode", "batch_hard", "--epochs", "1"]):
+            assert run_cli(argv)[0] == 0
+        return ds.read_bytes(), (tmp / "out" / "checkpoint.bin").read_bytes()
+
+
+CELL_VALUES = ["99999999999999999999999", "-99999999999999999999999", "-3", "+3", " 2",
+               "1.5", "", "0x10", "gallery", "query", "train", "test",
+               "nan", "inf", "-inf", "1e308", "-1e308"]
+DATASET_EDITS = st.one_of(
+    st.tuples(st.just("cell"), st.integers(1, 48), st.integers(0, 7),
+              st.sampled_from(CELL_VALUES)),
+    st.tuples(st.sampled_from(["extra_column", "drop_column", "blank_line"]),
+              st.integers(0, 49)),
+    st.tuples(st.sampled_from(["crlf", "bom"])))
+MODEL_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(1, 2000)),
+    st.tuples(st.just("header"), st.integers(0, 3),
+              st.sampled_from([0, -1, 1, 3, 7, 2**40, 2**63 - 1, -2**63])),
+    st.tuples(st.just("magic"), st.integers(0, 7)),
+    st.tuples(st.just("weight"), st.integers(0, 10**6),
+              st.sampled_from([math.nan, math.inf, -math.inf, 1e308])))
+
+
+def edit_dataset(data, edits):
+    """Dataset bytes with edits applied: a cell replaced, a field added or
+    dropped, or a blank line inserted, on one line (0 is the header); or
+    CRLF line ends, or a byte-order mark."""
+    lines = data.decode().splitlines()
+    end, bom = "\n", ""
+    for kind, *where in edits:
+        if kind == "crlf":
+            end = "\r\n"
+        elif kind == "bom":
+            bom = "\ufeff"
+        elif kind == "blank_line":
+            lines.insert(where[0] % (len(lines) + 1), "")
+        else:
+            row = where[0] % len(lines)
+            cells = lines[row].split(",")
+            if kind == "cell":
+                cells[where[1] % len(cells)] = where[2]
+            elif kind == "extra_column":
+                cells.append("0")
+            else:
+                cells.pop()
+            lines[row] = ",".join(cells)
+    return (bom + end.join(lines) + end).encode()
+
+
+def edit_model(data, edits):
+    """Model bytes with edits applied: a header dimension or a weight
+    overwritten, a magic byte flipped, then the file cut short by some
+    bytes."""
+    data = bytearray(data)
+    for kind, *where in sorted(edits, key=lambda e: e[0] == "truncate"):
+        if kind == "truncate":
+            del data[-(where[0] % len(data)) - 1:]
+        elif kind == "header":
+            struct.pack_into("<q", data, len(MODEL_MAGIC) + 8 * where[0], where[1])
+        elif kind == "magic":
+            data[where[0]] ^= 0xFF
+        else:
+            n_weights = (len(data) - len(MODEL_MAGIC) - 32) // 8
+            struct.pack_into("<d", data, len(MODEL_MAGIC) + 32 + 8 * (where[0] % n_weights),
+                             where[1])
+    return bytes(data)
+
+
+def check_file_commands(dataset, model, edited, loader, commands):
+    """Run each command, which reads a dataset file and a model file of
+    these bytes, through main.  Each exits 0 with its outputs written;
+    exits 1 with one `error:` line naming the edited one of the two files;
+    or, only when the edited file loads, exits 2 for a numerical failure.
+    No exception escapes main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        cfg = write_config(tmp)
+        ds, ckpt = tmp / "ds.csv", tmp / "model.bin"
+        ds.write_bytes(dataset)
+        ckpt.write_bytes(model)
+        paths = {"dataset": ds, "model": ckpt}
+        runs = {
+            "train": (["train", "--config", str(cfg), "--dataset", str(ds),
+                       "--mode", "batch_hard", "--epochs", "1", "--out", str(tmp / "run")],
+                      [tmp / "run" / "report.csv", tmp / "run" / "checkpoint.bin"]),
+            "eval": (["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                      "--out", str(tmp / "metrics.csv")], [tmp / "metrics.csv"]),
+            "eval_pca": (["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                          "--target-dim", "2", "--out", str(tmp / "pca.csv")],
+                         [tmp / "pca.csv"]),
+        }
+        for command in commands:
+            argv, outputs = runs[command]
+            code, err = run_cli(argv)
+            assert "Traceback" not in err
+            if code == 0:
+                assert all(p.exists() for p in outputs), (command, err)
+                continue
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (command, err)
+            if code == 2:
+                loader(paths[edited])  # raises if the edited file does not load
+            else:
+                assert code == 1 and str(paths[edited]) in lines[0], (command, err)
+
+
+@given(st.lists(DATASET_EDITS, min_size=1, max_size=2))
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+def test_train_and_eval_exit_cleanly_on_any_dataset_file(edits):
+    dataset, model = valid_files()
+    check_file_commands(edit_dataset(dataset, edits), model, "dataset", synthetic.load,
+                        ["train", "eval", "eval_pca"])
+
+
+@given(st.lists(MODEL_EDITS, min_size=1, max_size=2, unique_by=lambda e: e[0]))
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+def test_eval_exits_cleanly_on_any_model_file(edits):
+    dataset, model = valid_files()
+    check_file_commands(dataset, edit_model(model, edits), "model", load_model,
+                        ["eval", "eval_pca"])
 
 
 # --------------------------------------------------------------- tune-demo

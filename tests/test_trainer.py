@@ -438,7 +438,8 @@ def test_checkpoint_cut_inside_its_header(tmp_path):
     (0, 8, 8, 4),
     (6, 8, 8, 0),
     (6, -8, 8, 4),
-], ids=["zero_d_in", "no_classes", "negative_hidden"])
+    (6, 8, 3, 4),
+], ids=["zero_d_in", "no_classes", "negative_hidden", "odd_embed_dim"])
 def test_checkpoint_header_out_of_range(tmp_path, header):
     path = tmp_path / "bad.bin"
     path.write_bytes(MODEL_MAGIC + struct.pack("<4q", *header) + b"\0" * 64)
