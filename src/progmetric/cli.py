@@ -117,7 +117,7 @@ def cmd_eval(args):
         qg.query_embeddings = q_emb
         qg.gallery_embeddings = g_emb
         metrics = evaluate(qg)
-    except (InvalidInputError, np.linalg.LinAlgError) as exc:  # eigh fails on non-finite
+    except (InvalidInputError, np.linalg.LinAlgError) as exc:  # eigh may not converge
         raise InvalidInputError(f"{args.dataset} with model {args.checkpoint}: {exc}") from exc
     out = Path(args.out or "metrics.csv")
     _write_lines(out, metrics_csv_lines(metrics))
@@ -137,7 +137,10 @@ def cmd_tune_demo(args):
 
 def cmd_report(args):
     path = Path(args.report)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     header = next(RunReport().epoch_csv_lines())
     if not lines or lines[0] != header:
         raise ValueError(f"{path}: not a run report (expected header {header!r})")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +83,8 @@ def _query_blocks(n_query, n_gallery, workers=1):
 
 
 def _usable_cpus():
-    """CPUs this process may run on; evaluate starts at most this many threads."""
+    """CPUs this process may run on; evaluate ranks on at most this many
+    threads, the calling thread among them."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -135,51 +136,47 @@ def _stable_ranks(d2, keys, key, rows, cols):
     return found
 
 
-def _rank_block(q, q_labels, lo, hi, g, g_sq, g_labels, order, free):
+def _rank_block(q, q_labels, lo, hi, g, g_sq, g_labels, order, pair):
     """Rank the gallery for one block of queries.
 
     A query's candidate gallery columns are order[lo:hi], in ascending column
     order; those whose label equals the query's under ``==`` are relevant.
-    The block borrows a pair of (rows, gallery) float64 arrays, at least as
-    high as the block, from the list `free` and gives it back when done: one
-    takes the squared distances, the other 2q g^T, then the float32 keys in
-    its first half, then the AP precision rows.  Returns, for the block's
-    queries that have a match, in query order, the rank of each one's first
-    hit and its AP, so finished blocks hold no gallery-sized array.
+    The block ranks inside `pair`, its worker's two (rows, gallery) float64
+    arrays, at least as high as the block: one takes the squared distances,
+    the other 2q g^T, then the float32 keys in its first half, then the AP
+    precision rows.  Returns, for the block's queries that have a match, in
+    query order, the rank of each one's first hit and its AP, so finished
+    blocks hold no gallery-sized array.
     """
     n_gallery = len(g)
-    pair = free.pop()  # list.pop and list.append are atomic across threads
-    try:
-        d2, work = (buf[:len(q)] for buf in pair)
-        _squared_distances(q, g, g_sq, out=d2, work=work)
-        keys = work.reshape(-1).view(np.float32)[:d2.size].reshape(d2.shape)
-        with np.errstate(over="ignore", under="ignore"):  # to inf or 0 past float32
-            keys[...] = d2
-        n_cand = hi - lo
-        rows = np.repeat(np.arange(len(q)), n_cand)
-        cols = order[np.arange(len(rows))
-                     + np.repeat(lo - (np.cumsum(n_cand) - n_cand), n_cand)]
-        hit = q_labels[rows] == g_labels[cols]
-        rows, cols = rows[hit], cols[hit]
-        key = keys[rows, cols]
-        keys.sort(axis=1)
-        # a NaN or inf d2 sorts its key last, as a large finite d2 may
-        if not np.isfinite(keys[:, -1:]).all() and not (d2 < np.inf).all():
-            raise InvalidInputError("query/gallery distances overflow float64")
-        # hits in (query, rank) order; i counts a query's hits from 1
-        rows, rank = np.divmod(
-            np.sort(rows * n_gallery + _stable_ranks(d2, keys, key, rows, cols)),
-            n_gallery)
-        n_rel = np.bincount(rows, minlength=len(q))
-        first = np.cumsum(n_rel) - n_rel
-        i = np.arange(1, len(rows) + 1) - first[rows]
-        valid = n_rel > 0
-        precision = work  # the keys are no longer read
-        precision.fill(0.0)
-        precision[rows, rank] = i / (rank + 1)
-        return rank[first[valid]], precision.sum(axis=1)[valid] / n_rel[valid]
-    finally:
-        free.append(pair)
+    d2, work = (buf[:len(q)] for buf in pair)
+    _squared_distances(q, g, g_sq, out=d2, work=work)
+    keys = work.reshape(-1).view(np.float32)[:d2.size].reshape(d2.shape)
+    with np.errstate(over="ignore", under="ignore"):  # to inf or 0 past float32
+        keys[...] = d2
+    n_cand = hi - lo
+    rows = np.repeat(np.arange(len(q)), n_cand)
+    cols = order[np.arange(len(rows))
+                 + np.repeat(lo - (np.cumsum(n_cand) - n_cand), n_cand)]
+    hit = q_labels[rows] == g_labels[cols]
+    rows, cols = rows[hit], cols[hit]
+    key = keys[rows, cols]
+    keys.sort(axis=1)
+    # a NaN or inf d2 sorts its key last, as a large finite d2 may
+    if not np.isfinite(keys[:, -1:]).all() and not (d2 < np.inf).all():
+        raise InvalidInputError("query/gallery distances overflow float64")
+    # hits in (query, rank) order; i counts a query's hits from 1
+    rows, rank = np.divmod(
+        np.sort(rows * n_gallery + _stable_ranks(d2, keys, key, rows, cols)),
+        n_gallery)
+    n_rel = np.bincount(rows, minlength=len(q))
+    first = np.cumsum(n_rel) - n_rel
+    i = np.arange(1, len(rows) + 1) - first[rows]
+    valid = n_rel > 0
+    precision = work  # the keys are no longer read
+    precision.fill(0.0)
+    precision[rows, rank] = i / (rank + 1)
+    return rank[first[valid]], precision.sum(axis=1)[valid] / n_rel[valid]
 
 
 def _check_finite(x, side):
@@ -199,12 +196,16 @@ def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
     Queries are ranked in blocks (see BLOCK_BYTES) on float32 keys of their
     squared distances (see _stable_ranks).  The gallery's squared norms and
     a label index (a stable argsort of the gallery labels, and each query's
-    range in it) are built once per call.  min(blocks, usable CPUs) worker
-    threads, at least one, rank the blocks, each under a copy of the
-    caller's context, so the caller's ``np.errstate`` holds in them.
-    Results are combined in block order, so the metrics are bit-identical
-    for any number of threads.  The first failing block's error is raised,
-    after blocks not yet started are cancelled and every thread has finished.
+    range in it) are built once per call.  min(blocks, usable CPUs) workers,
+    at least one, rank the blocks: the calling thread and, for each other
+    worker, a thread it starts under a copy of the caller's context, so the
+    caller's ``np.errstate`` holds there too; a single block starts no
+    thread.  Each worker takes the next block index from one shared iterator
+    and ranks it inside its own pair of block-sized arrays.  Results are
+    combined in block order, so the metrics are bit-identical for any
+    number of workers.  Once a block has failed no worker takes another, and
+    the lowest-index failing block's error is raised after every thread has
+    finished.
     """
     q = np.asarray(split.query_embeddings, dtype=float)
     g = np.asarray(split.gallery_embeddings, dtype=float)
@@ -240,17 +241,44 @@ def evaluate(split: QueryGallerySplit) -> RetrievalMetrics:
     blocks = _query_blocks(len(q), n_gallery, workers)
     # one pair of block-sized arrays per worker, allocated here, once
     height = max((b.stop - b.start for b in blocks), default=0)
-    free = [(np.empty((height, n_gallery)), np.empty((height, n_gallery)))
-            for _ in range(workers)]
-    jobs = [(q[b], q_labels[b], lo[b], hi[b], g, g_sq, g_labels, order, free)
-            for b in blocks]
-    pool = ThreadPoolExecutor(workers)
+    pairs = [(np.empty((height, n_gallery)), np.empty((height, n_gallery)))
+             for _ in range(workers)]
+    results = [None] * len(blocks)
+    errors = {}  # block index -> the exception it raised
+    # each block index is taken once: next() under the lock, with or without a GIL
+    todo, taking = iter(range(len(blocks))), threading.Lock()
+    stop = threading.Event()  # set once a block fails: no worker takes another
+
+    def rank_blocks(pair):
+        """Rank blocks into `pair` in turn until none is left or one failed."""
+        while not stop.is_set():
+            with taking:
+                index = next(todo, None)
+            if index is None:
+                return
+            b = blocks[index]
+            try:
+                results[index] = _rank_block(q[b], q_labels[b], lo[b], hi[b], g, g_sq,
+                                             g_labels, order, pair)
+            except Exception as exc:
+                errors[index] = exc
+                stop.set()
+
+    threads = []
     try:
-        futures = [pool.submit(contextvars.copy_context().run, _rank_block, *job)
-                   for job in jobs]
-        results = [f.result() for f in futures]
+        for pair in pairs[1:]:
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(rank_blocks, pair))
+            thread.start()
+            threads.append(thread)
+        rank_blocks(pairs[0])
     finally:
-        pool.shutdown(cancel_futures=True)
+        stop.set()  # all blocks are taken, or this thread raised (an interrupt, a
+        # thread that could not start): the others take no more
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
     # per block, the first-hit ranks and APs of its queries with a match
     first_ranks = np.concatenate([np.zeros(0, np.intp)] + [r for r, _ in results])
     aps = np.concatenate([np.zeros(0)] + [a for _, a in results])
@@ -284,13 +312,14 @@ def pca_reduce(embeddings, target_dim) -> PcaResult:
     """Mean-centered projection onto the top principal directions.
 
     Directions come in descending eigenvalue order; each is oriented so its
-    largest-magnitude component is positive.
+    largest-magnitude component is positive.  A non-finite row is an error.
     """
     x = np.asarray(embeddings, dtype=float)
     n, e = x.shape
     if target_dim < 1 or target_dim > min(n, e):
         raise InvalidInputError(
             f"target_dim must lie in [1, {min(n, e)}], got {target_dim}")
+    _check_finite(x, "PCA input")
     mean = x.mean(axis=0)
     xc = x - mean
     cov = xc.T @ xc / max(n - 1, 1)

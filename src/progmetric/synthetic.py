@@ -176,8 +176,13 @@ def save(dataset: LabeledDataset, path):
 
 
 def load(path) -> LabeledDataset:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # the text before the bad byte decodes
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc})") from None
     if not lines:
         raise ParseError(f"{path}:1: empty file")
     header = lines[0].split(",")

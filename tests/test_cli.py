@@ -131,6 +131,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.json")
 
 
+def test_load_config_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        load_config(path)
+
+
 def test_load_config_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -629,7 +636,11 @@ def test_eval_target_dim_below_one_exits_1(tmp_path, capsys, dim):
     assert not out.exists()
 
 
-def test_eval_nonfinite_weights_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("flags, message", [
+    ([], "query embedding row 0 is not finite"),
+    (["--target-dim", "2"], "PCA input embedding row 0 is not finite"),
+], ids=["raw", "pca"])
+def test_eval_nonfinite_weights_exits_1(tmp_path, capsys, flags, message):
     cfg = write_config(tmp_path)
     ds = gen_dataset(tmp_path, cfg)
     assert main(["train", "--config", str(cfg), "--dataset", str(ds),
@@ -640,10 +651,9 @@ def test_eval_nonfinite_weights_exits_1(tmp_path, capsys):
     save_model(ckpt_path, params)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt_path),
-                 "--dataset", str(ds)]) == 1
+                 "--dataset", str(ds)] + flags) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {ds} with model {ckpt_path}: "
-                          "query embedding row 0 is not finite")
+    assert err.startswith(f"error: {ds} with model {ckpt_path}: {message}")
 
 
 @pytest.mark.parametrize("header", [
@@ -779,7 +789,8 @@ DATASET_EDITS = st.one_of(
               st.sampled_from(CELL_VALUES)),
     st.tuples(st.sampled_from(["extra_column", "drop_column", "blank_line"]),
               st.integers(0, 49)),
-    st.tuples(st.sampled_from(["crlf", "bom"])))
+    st.tuples(st.sampled_from(["crlf", "bom"])),
+    st.tuples(st.just("byte"), st.integers(0, 10**4), st.integers(0x80, 0xFF)))
 MODEL_EDITS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(1, 2000)),
     st.tuples(st.just("header"), st.integers(0, 3),
@@ -792,11 +803,14 @@ MODEL_EDITS = st.one_of(
 def edit_dataset(data, edits):
     """Dataset bytes with edits applied: a cell replaced, a field added or
     dropped, or a blank line inserted, on one line (0 is the header); or
-    CRLF line ends, or a byte-order mark."""
+    CRLF line ends, or a byte-order mark; then, after encoding, a byte that
+    is not ASCII inserted."""
     lines = data.decode().splitlines()
-    end, bom = "\n", ""
+    end, bom, inserted = "\n", "", []
     for kind, *where in edits:
-        if kind == "crlf":
+        if kind == "byte":
+            inserted.append(where)
+        elif kind == "crlf":
             end = "\r\n"
         elif kind == "bom":
             bom = "\ufeff"
@@ -812,7 +826,10 @@ def edit_dataset(data, edits):
             else:
                 cells.pop()
             lines[row] = ",".join(cells)
-    return (bom + end.join(lines) + end).encode()
+    data = bytearray((bom + end.join(lines) + end).encode())
+    for at, byte in inserted:
+        data.insert(at % (len(data) + 1), byte)
+    return bytes(data)
 
 
 def edit_model(data, edits):
@@ -966,6 +983,13 @@ def test_report_not_a_run_report_exits_1(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["report", "--report", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: not a run report")
+
+
+def test_report_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"phase,candidate\n\xff\n")
+    assert main(["report", "--report", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
 
 
 def test_report_short_row_exits_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -425,16 +426,16 @@ def test_first_failing_block_in_block_order_is_raised(small_blocks, workers,
                                                       monkeypatch):
     # Each query row's one coordinate is its index, so a block is known by its
     # first row.  With more than one thread, block 1 fails only after block 2
-    # has failed, yet its error is raised; one thread starts the blocks in
-    # order.  Every block after block 2 waits until the pool has cancelled
-    # the blocks still queued, so of those later blocks at most one per
-    # thread can have started.  (The waits time out only if evaluate hangs.)
+    # has failed, yet its error is raised; one thread takes the blocks in
+    # order.  Every block after block 2 waits until block 2 has failed, after
+    # which no worker takes another block, so of those later blocks at most
+    # one per thread can have started.  (The waits time out only if evaluate
+    # hangs.)
     n_gallery, height = small_blocks
     n_query = 8 * height
     starts = [b.start for b in evaluation._query_blocks(n_query, n_gallery, workers)]
     rank_block = evaluation._rank_block
     block_2_failed = threading.Event()
-    queue_cancelled = threading.Event()
     started = []
 
     def failing_rank_block(q, *args):
@@ -448,17 +449,10 @@ def test_first_failing_block_in_block_order_is_raised(small_blocks, workers,
             block_2_failed.set()
             raise InvalidInputError("block 2")
         if index > 2:
-            queue_cancelled.wait(30)
+            block_2_failed.wait(30)
         return rank_block(q, *args)
 
-    class Pool(evaluation.ThreadPoolExecutor):
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            super().shutdown(wait=False, cancel_futures=cancel_futures)
-            queue_cancelled.set()
-            super().shutdown(wait=wait)
-
     monkeypatch.setattr(evaluation, "_rank_block", failing_rank_block)
-    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Pool)
     split = QueryGallerySplit(np.arange(n_query, dtype=float)[:, None],
                               np.zeros(n_query, int),
                               np.zeros((n_gallery, 1)), np.zeros(n_gallery, int))
@@ -471,6 +465,83 @@ def test_first_failing_block_in_block_order_is_raised(small_blocks, workers,
     else:
         assert block_2_failed.is_set()
     assert set(started) <= set(range(3 + workers))  # of 20 blocks
+
+
+def test_one_block_ranks_on_the_calling_thread(workers, monkeypatch):
+    rng = np.random.default_rng(21)
+    split = labelled_split(rng, rng.normal(size=(256, 4)),
+                           rng.normal(size=(768, 4)), 16)
+    assert len(evaluation._query_blocks(256, 768, workers)) == 1
+    rank_block = evaluation._rank_block
+    idents = []
+
+    def recording(*args):
+        idents.append(threading.get_ident())
+        return rank_block(*args)
+
+    monkeypatch.setattr(evaluation, "_rank_block", recording)
+    before = threading.active_count()
+    got = evaluate(split)
+    assert threading.active_count() == before
+    assert idents == [threading.get_ident()]
+    assert_same_metrics(got, loop_evaluate(split))
+
+
+def test_many_blocks_rank_on_at_most_workers_threads(small_blocks, workers,
+                                                     monkeypatch):
+    # The other threads wait in their blocks until the calling thread has
+    # ranked one, so they cannot take every block before it starts.  (The
+    # wait times out, once, only if the calling thread takes no block.)
+    n_gallery, height = small_blocks
+    rng = np.random.default_rng(22)
+    n_query = 6 * height
+    split = labelled_split(rng, rng.normal(size=(n_query, 3)),
+                           rng.normal(size=(n_gallery, 3)), 3)
+    rank_block = evaluation._rank_block
+    caller, caller_ranked = threading.get_ident(), threading.Event()
+    idents = []
+
+    def recording(*args):
+        idents.append(threading.get_ident())
+        if idents[-1] == caller or not caller_ranked.wait(10):
+            caller_ranked.set()
+        return rank_block(*args)
+
+    monkeypatch.setattr(evaluation, "_rank_block", recording)
+    before = threading.active_count()
+    got = evaluate(split)
+    assert threading.active_count() == before
+    assert len(idents) == len(evaluation._query_blocks(n_query, n_gallery, workers))
+    assert caller in idents and len(set(idents)) <= workers
+    assert_same_metrics(got, loop_evaluate(split))
+
+
+def test_each_block_is_ranked_once_under_thread_switching(small_blocks, monkeypatch):
+    # 8 workers, more than this host's CPUs, take 60 blocks from the shared
+    # iterator while the interpreter switches threads every microsecond
+    n_gallery, height = small_blocks
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+    rng = np.random.default_rng(23)
+    n_query = 60 * height
+    split = labelled_split(rng, rng.normal(size=(n_query, 3)),
+                           rng.normal(size=(n_gallery, 3)), 3)
+    rank_block = evaluation._rank_block
+    firsts = []
+
+    def recording(q, *args):
+        firsts.append(float(q[0, 0]))
+        return rank_block(q, *args)
+
+    monkeypatch.setattr(evaluation, "_rank_block", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = evaluate(split)
+    finally:
+        sys.setswitchinterval(interval)
+    blocks = evaluation._query_blocks(n_query, n_gallery, 8)
+    assert sorted(firsts) == sorted(split.query_embeddings[b.start, 0] for b in blocks)
+    assert_same_metrics(got, loop_evaluate(split))
 
 
 @pytest.mark.parametrize("d", [3, 8, 32])
@@ -769,6 +840,15 @@ def test_pca_apply_matches_fit_projection():
     x = rng.normal(size=(15, 4))
     res = pca_reduce(x, 3)
     np.testing.assert_allclose(pca_apply(res, x), res.projected, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_pca_rejects_a_nonfinite_row(bad):
+    # eigh on a non-finite covariance says only "Eigenvalues did not converge"
+    x = np.random.default_rng(6).normal(size=(10, 4))
+    x[3, 1] = bad
+    with pytest.raises(InvalidInputError, match="^PCA input embedding row 3 is not finite$"):
+        pca_reduce(x, 2)
 
 
 def test_pca_target_dim_validation():

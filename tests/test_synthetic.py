@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,14 @@ def test_load_malformed_value_names_line(tmp_path):
     path = tmp_path / "val.csv"
     path.write_text("id,split,f0\n1,train,0.5\n2,nonsense,0.5\n")
     with pytest.raises(ParseError, match=":3:"):
+        load(path)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_not_utf8_names_line(tmp_path, end):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(end.join([b"id,split,f0", b"1,train,0.5", b"2,train,0.\xff5", b""]))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: not UTF-8 text"):
         load(path)
 
 
