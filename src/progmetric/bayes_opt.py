@@ -86,6 +86,14 @@ def estimate_bandwidth(points):
     return np.maximum(scale**2, BANDWIDTH_FLOOR)
 
 
+def _kernel_peak(bandwidth):
+    """The kernel's normalization (2 pi)^(-d/2) |B|^(-1/2), its value at
+    zero distance, for a diagonal bandwidth with positive entries."""
+    if np.any(bandwidth <= 0.0):
+        raise ConfigurationError("bandwidth entries must be positive")
+    return (2.0 * np.pi) ** (-len(bandwidth) / 2.0) / np.sqrt(np.prod(bandwidth))
+
+
 def kernel(w1, w2, bandwidth):
     """Gaussian kernel with normalization (2 pi)^(-d/2) |B|^(-1/2).
 
@@ -94,12 +102,10 @@ def kernel(w1, w2, bandwidth):
     kernel(x[:, None], y[None], b) the len(x) x len(y) matrix.
     """
     bandwidth = np.asarray(bandwidth, dtype=float)
-    if np.any(bandwidth <= 0.0):
-        raise ConfigurationError("bandwidth entries must be positive")
+    const = _kernel_peak(bandwidth)
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     d = len(bandwidth)
-    const = (2.0 * np.pi) ** (-d / 2.0) / np.sqrt(np.prod(bandwidth))
     # Coordinate by coordinate over whole arrays, added left to right: the
     # order numpy's sum uses along a last axis shorter than 8, without its
     # per-element inner loop over that axis.
@@ -167,8 +173,11 @@ class GPState:
         k_star = kernel(stack[:, None], self.points, self.bandwidth)
         mean = self.mean_level + k_star @ self._alpha
         beta = _solve_lower(self._chol, k_star.T)
-        var = np.maximum(kernel(stack, stack, self.bandwidth) - np.sum(beta * beta, axis=0),
-                         0.0)
+        # the prior variance is the kernel at zero distance; a candidate row
+        # with a non-finite entry has none (NaN), as kernel(row, row) gives
+        prior = np.where(np.isfinite(stack).all(axis=1),
+                         _kernel_peak(self.bandwidth), np.nan)
+        var = np.maximum(prior - np.sum(beta * beta, axis=0), 0.0)
         if v.ndim == 1:
             return float(mean[0]), float(var[0])
         return mean, var

@@ -19,7 +19,7 @@ import numpy as np
 from . import synthetic
 from .bayes_opt import NumericalError
 from .config import RunConfig, load_config
-from .evaluation import evaluate, metrics_csv_lines, pca_apply, pca_reduce
+from .evaluation import _check_finite, evaluate, metrics_csv_lines, pca_apply, pca_reduce
 from .losses import HyperParams, InvalidInputError
 from .model import NonFiniteGradientError, embed
 from .sampler import InsufficientDataError
@@ -111,6 +111,10 @@ def cmd_eval(args):
         q_emb = embed(params, qg.query_embeddings)
         g_emb = embed(params, qg.gallery_embeddings)
         if args.target_dim is not None:
+            # checked per side, as evaluate does, so that an error names the
+            # side and its row rather than a row of the stack
+            _check_finite(q_emb, "query")
+            _check_finite(g_emb, "gallery")
             pca = pca_reduce(np.vstack([g_emb, q_emb]), args.target_dim)
             q_emb = pca_apply(pca, q_emb)
             g_emb = pca_apply(pca, g_emb)

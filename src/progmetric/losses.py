@@ -112,11 +112,12 @@ def pairwise_distances(embeddings):
         raise InvalidInputError("embeddings must be a 2-D array")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("non-finite embedding entries")
-    # On a C-contiguous x, x @ x.T takes BLAS's symmetric rank-k path, so
-    # gram, and with it d, is exactly symmetric (an input with no unit
-    # stride would take a general product that is not); each step below
-    # reuses its operand's buffer.
-    gram = x @ x.T
+    # On a C-contiguous x, np.dot(x, x.T) is one BLAS symmetric rank-k
+    # update (dsyrk) whose triangle numpy mirrors, so gram, and with it d,
+    # is exactly symmetric (an input with no unit stride would take a
+    # general product that is not); x @ x.T makes the same call but mirrors
+    # element by element.  Each step below reuses its operand's buffer.
+    gram = np.dot(x, x.T)
     sq = np.diag(gram).copy()
     # |gram| is at most max(sq) (Cauchy-Schwarz), so no step below exceeds
     # 4 max(sq); the factor 8 leaves room for rounding, and no N x N pass
@@ -126,7 +127,10 @@ def pairwise_distances(embeddings):
     d = np.add.outer(sq, sq)
     gram *= 2.0
     d -= gram
-    np.maximum(d, 0.0, out=d)
+    # rounding leaves near-coincident rows slightly negative: clamp to +0.0,
+    # keeping NaN, as np.maximum(d, 0.0) would; the mask is almost all
+    # false, and a scalar np.maximum operand runs a loop with no SIMD
+    np.copyto(d, 0.0, where=d <= 0.0)
     np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d

@@ -179,6 +179,31 @@ def test_posterior_matches_scipy_linalg_reference():
         assert np.all(np.abs(var - want_var) <= 1e-12 * prior)
 
 
+def test_posterior_variance_equals_kernel_prior_byte_for_byte():
+    # the prior variance is the kernel's peak, taken without kernel(stack,
+    # stack); it has the same bits, and a candidate row with a NaN or
+    # infinite entry keeps the NaN variance that kernel(row, row) gives it,
+    # in a stack and alone (NaN's sign bit is not pinned)
+    rng = np.random.default_rng(41)
+    bad = [3, 5, 7]
+    for _ in range(20):
+        state = random_state(rng, n=int(rng.integers(1, 12)))
+        cands = np.vstack([sample_box(rng, 64), state.points, np.full((1, 4), 1e308)])
+        cands[3, 1], cands[5, 0], cands[7, 2] = np.nan, np.inf, -np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_star = kernel(cands[:, None], state.points, state.bandwidth)
+            beta = bayes_opt._solve_lower(state._chol, k_star.T)
+            want = np.maximum(kernel(cands, cands, state.bandwidth)
+                              - np.sum(beta * beta, axis=0), 0.0)
+            _, var = state.posterior(cands)
+            assert np.isnan(var[bad]).all() and np.isnan(want[bad]).all()
+            good = np.delete(np.arange(len(cands)), bad)
+            assert var[good].tobytes() == want[good].tobytes()
+            assert not np.isnan(var[good]).any()
+            for i in bad:
+                assert np.isnan(state.posterior(cands[i])[1])
+
+
 def test_posterior_variance_nonnegative():
     rng = np.random.default_rng(4)
     for _ in range(20):

@@ -638,9 +638,11 @@ def test_eval_target_dim_below_one_exits_1(tmp_path, capsys, dim):
 
 @pytest.mark.parametrize("flags, message", [
     ([], "query embedding row 0 is not finite"),
-    (["--target-dim", "2"], "PCA input embedding row 0 is not finite"),
+    (["--target-dim", "2"], "query embedding row 0 is not finite"),
 ], ids=["raw", "pca"])
 def test_eval_nonfinite_weights_exits_1(tmp_path, capsys, flags, message):
+    # with --target-dim each side is checked before the PCA stack, so the
+    # error names the side and its row, as evaluate's does
     cfg = write_config(tmp_path)
     ds = gen_dataset(tmp_path, cfg)
     assert main(["train", "--config", str(cfg), "--dataset", str(ds),
@@ -654,6 +656,27 @@ def test_eval_nonfinite_weights_exits_1(tmp_path, capsys, flags, message):
                  "--dataset", str(ds)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ds} with model {ckpt_path}: {message}")
+
+
+@pytest.mark.parametrize("flags", [[], ["--target-dim", "2"]], ids=["raw", "pca"])
+def test_eval_overflowing_gallery_feature_names_its_gallery_row(tmp_path, capsys, flags):
+    # finite 1e308 features overflow their row's embedding; the error names
+    # the gallery row, not its row in the PCA stack of both sides
+    cfg = write_config(tmp_path)
+    ds = gen_dataset(tmp_path, cfg)
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--mode", "ce_only"]) == 0
+    lines = ds.read_text().splitlines()
+    gallery = [i for i, line in enumerate(lines) if line.split(",")[1] == "gallery"]
+    fields = lines[gallery[3]].split(",")
+    lines[gallery[3]] = ",".join(fields[:2] + ["1e308"] * (len(fields) - 2))
+    ds.write_text("\n".join(lines) + "\n")
+    ckpt_path = tmp_path / "out" / "checkpoint.bin"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt_path), "--dataset", str(ds)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ds} with model {ckpt_path}: "
+                          "gallery embedding row 3 is not finite")
 
 
 @pytest.mark.parametrize("header", [

@@ -459,11 +459,12 @@ def test_order_stat_with_excluded_entries_equals_masked_reference(kind):
 
 
 def test_gram_product_is_exactly_symmetric():
-    # pairwise_distances does not re-symmetrise: it relies on x @ x.T taking
-    # BLAS's symmetric rank-k path, which a C-contiguous copy always does;
-    # C-order, Fortran-order and column-slice views take it without a copy,
-    # and the copy leaves their bits unchanged.  Every other column stride
-    # takes a general product, so its distances must come from the copy.
+    # pairwise_distances does not re-symmetrise: it relies on np.dot(x, x.T)
+    # taking BLAS's symmetric rank-k path (dsyrk), which a C-contiguous copy
+    # always does, as x @ x.T does; C-order, Fortran-order and column-slice
+    # views take it without a copy, and the copy leaves their bits
+    # unchanged.  Every other column stride takes a general product, so its
+    # distances must come from the copy.
     rng = np.random.default_rng(31)
     for _ in range(100):
         n, dim = int(rng.integers(1, 301)), int(rng.integers(1, 71))
@@ -474,8 +475,53 @@ def test_gram_product_is_exactly_symmetric():
             assert gram.tobytes() == gram.T.copy().tobytes()
             c = np.ascontiguousarray(x)
             assert (c @ c.T).tobytes() == gram.tobytes()
+            assert np.dot(c, c.T).tobytes() == gram.tobytes()
         d = pairwise_distances(base[:, ::2])
         assert d.tobytes() == d.T.copy().tobytes()
+
+
+def matmul_maximum_distances(embeddings):
+    """pairwise_distances with the Gram product as x @ x.T and the clamp as
+    np.maximum(d, 0.0): the form np.dot and the masked copyto replaced,
+    which they must reproduce byte for byte."""
+    x = np.ascontiguousarray(embeddings, dtype=float)
+    gram = x @ x.T
+    sq = np.diag(gram).copy()
+    d = np.add.outer(sq, sq)
+    gram *= 2.0
+    d -= gram
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def test_pairwise_distances_equal_matmul_maximum_form_bytes():
+    # random shapes, most not multiples of 8, plus n = 2, 130 and 300, where a
+    # general product's bits differ from the symmetric rank-k path's; as
+    # C-order arrays, column slices and strided views
+    rng = np.random.default_rng(34)
+    shapes = [(int(rng.integers(1, 301)), int(rng.integers(1, 71))) for _ in range(60)]
+    for n, dim in shapes + [(2, 16), (130, 16), (300, 16), (128, 16), (1, 1)]:
+        base = rng.normal(size=(n, 2 * dim)) * rng.uniform(0.01, 100.0)
+        for x in (np.ascontiguousarray(base[:, :dim]), base[:, :dim], base[:, ::2]):
+            assert pairwise_distances(x).tobytes() == matmul_maximum_distances(x).tobytes()
+
+
+def test_near_coincident_rows_clamp_to_positive_zero():
+    # rows a relative 1e-15 apart: the squared distances of many pairs round
+    # below 0 and must come out as +0.0, not -0.0 or NaN
+    rng = np.random.default_rng(35)
+    for n, dim in ((9, 3), (37, 16), (130, 5), (300, 70)):
+        row = rng.normal(size=dim) * 10.0
+        x = row * (1.0 + 1e-15 * rng.integers(-4, 5, size=(n, 1)))
+        gram = x @ x.T
+        sq = np.diag(gram)
+        negative = (sq[:, None] + sq[None, :] - 2.0 * gram) < 0.0
+        d = pairwise_distances(x)
+        assert negative.any()
+        assert (d[negative] == 0.0).all() and not np.signbit(d).any()
+        assert d.tobytes() == matmul_maximum_distances(x).tobytes()
 
 
 def test_triplet_step_allocates_few_n_by_n_arrays():
